@@ -98,7 +98,7 @@ impl ChaosCell {
 /// Runs one chaos cell: `protocol` amplified `repetitions` times on
 /// `input` under a [`FaultRates::mixed`] plan at `rate` (rate 0 uses
 /// [`FaultRates::none`] and is labelled `none`).
-pub fn chaos_cell<T: Repeatable + Sync>(
+pub fn chaos_cell<T: Repeatable + Sync + ?Sized>(
     pool: &Pool,
     protocol: &str,
     tester: &T,
@@ -222,7 +222,10 @@ pub fn reconnect_cell(
     let (g, parts) = bipartite_workload(n, d, k, 7);
     let input = PreparedInput::new(&g, &parts).expect("valid workload");
     let tester = UnrestrictedTester::new(Tuning::practical(0.2));
-    let reference = tester.run_prepared_tally(&input, seed);
+    let reference = tester
+        .run_repetition(&input, seed, None)
+        .expect("valid workload")
+        .run;
     let shares = Arc::new(parts.shares().to_vec());
     let cfg = ServeConfig {
         k,
@@ -370,7 +373,7 @@ pub fn chaos_suite(scale: Scale) -> Vec<ChaosCell> {
                 // is reproducible end to end.
                 let plan_seed = 0xC4A0_5EED ^ ((k as u64) << 16) ^ ((pi as u64) << 8) ^ ri as u64;
                 cells.push(chaos_cell(
-                    &pool, name, &tester, &input, reps, rate, plan_seed,
+                    &pool, name, tester, &input, reps, rate, plan_seed,
                 ));
             }
         }

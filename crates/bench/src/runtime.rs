@@ -31,8 +31,8 @@ use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
 use triad_comm::pool::Pool;
 use triad_comm::{
-    run_simultaneous_prepared, CommStats, PayloadRepr, PlayerState, Recorder, SharedRandomness,
-    SimMessage, SimultaneousProtocol, Tally, Transcript,
+    run_simultaneous_prepared, CommStats, CostModel, PayloadRepr, PlayerState, Recorder, Runtime,
+    SharedRandomness, SimMessage, SimultaneousProtocol, Tally, Transcript,
 };
 use triad_graph::partition::{random_disjoint, Partition};
 use triad_graph::{Graph, GraphBuilder, Triangle};
@@ -375,11 +375,16 @@ pub fn time_unrestricted_sweep(
         let mut stats = CommStats::default();
         let mut transcript = Transcript::new(input.k());
         for r in 0..reps {
-            let run = tester.run_prepared_recorded::<Transcript>(&input, rep_seed(base_seed, r));
-            outcome = run.outcome;
-            stats = stats.merged(run.stats);
-            transcript.absorb(&run.transcript);
-            if run.outcome.found_triangle() {
+            let mut rt = Runtime::<Transcript>::prepared_with(
+                input.n(),
+                input.shared_players(),
+                SharedRandomness::new(rep_seed(base_seed, r)),
+                CostModel::Coordinator,
+            );
+            outcome = tester.run_on(&mut rt);
+            stats = stats.merged(rt.stats());
+            transcript.absorb(rt.transcript());
+            if outcome.found_triangle() {
                 break;
             }
         }

@@ -68,6 +68,61 @@ impl ArgMap {
                 .map_err(|_| CliError::Usage(format!("invalid value for --{key}"))),
         }
     }
+
+    /// The proximity parameter `--eps`, or `default` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError::Usage`] unless the value is finite and in
+    /// (0, 1].
+    pub fn eps_or(&self, default: f64) -> Result<f64, CliError> {
+        self.optional("eps")
+            .map_or(Ok(default), |raw| parse_eps("--eps", raw))
+    }
+
+    /// The average-degree hint `--d`, or `default` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError::Usage`] unless the value is finite and
+    /// positive.
+    pub fn degree_or(&self, default: f64) -> Result<f64, CliError> {
+        self.optional("d")
+            .map_or(Ok(default), |raw| parse_degree("--d", raw))
+    }
+}
+
+/// Parses a proximity parameter ε, which must be finite and in (0, 1]:
+/// the testers' sample sizes grow like 1/ε, so ε = 0 never terminates
+/// and NaN slips past every comparison. `what` names the source in the
+/// error (`--eps`, or a coordinator's Welcome params).
+///
+/// # Errors
+///
+/// Returns [`CliError::Usage`] on anything else.
+pub(crate) fn parse_eps(what: &str, raw: &str) -> Result<f64, CliError> {
+    match raw.parse::<f64>() {
+        Ok(eps) if eps.is_finite() && eps > 0.0 && eps <= 1.0 => Ok(eps),
+        _ => Err(CliError::Usage(format!(
+            "{what} must be a number in (0, 1], got `{raw}`"
+        ))),
+    }
+}
+
+/// Parses an average-degree hint `d`, which must be finite and positive
+/// (a NaN hint would otherwise pass the testers' `d <= 0` guards).
+/// `what` names the source in the error.
+///
+/// # Errors
+///
+/// Returns [`CliError::Usage`] on anything else.
+pub(crate) fn parse_degree(what: &str, raw: &str) -> Result<f64, CliError> {
+    match raw.parse::<f64>() {
+        Ok(d) if d.is_finite() && d > 0.0 => Ok(d),
+        _ => Err(CliError::Usage(format!(
+            "{what} must be a finite positive number, got `{raw}`"
+        ))),
+    }
 }
 
 /// CLI failure modes.
@@ -157,6 +212,11 @@ mod tests {
         assert_eq!(m.required_parsed::<usize>("n").unwrap(), 100);
         assert_eq!(m.optional("missing"), None);
         assert_eq!(m.parsed_or("d", 4.0).unwrap(), 4.0);
+        assert_eq!(m.eps_or(0.2).unwrap(), 0.2);
+        assert_eq!(m.degree_or(8.0).unwrap(), 8.0);
+        let m = ArgMap::parse(&argv("--eps 1 --d 0.5")).unwrap();
+        assert_eq!(m.eps_or(0.2).unwrap(), 1.0);
+        assert_eq!(m.degree_or(8.0).unwrap(), 0.5);
     }
 
     #[test]
@@ -166,6 +226,20 @@ mod tests {
         let m = ArgMap::parse(&argv("--n xyz")).unwrap();
         assert!(m.required_parsed::<usize>("n").is_err());
         assert!(m.required("missing").is_err());
+        for bad in ["0", "-0.1", "1.5", "NaN", "inf", "x"] {
+            let m = ArgMap::parse(&argv(&format!("--eps {bad}"))).unwrap();
+            assert!(
+                matches!(m.eps_or(0.2), Err(CliError::Usage(_))),
+                "--eps {bad}"
+            );
+        }
+        for bad in ["0", "-2", "NaN", "inf", "-inf", "x"] {
+            let m = ArgMap::parse(&argv(&format!("--d {bad}"))).unwrap();
+            assert!(
+                matches!(m.degree_or(8.0), Err(CliError::Usage(_))),
+                "--d {bad}"
+            );
+        }
     }
 
     #[test]

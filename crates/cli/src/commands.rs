@@ -81,16 +81,16 @@ pub fn gen(args: &ArgMap) -> Result<String, CliError> {
     if format == "csr" {
         let stream: Box<dyn EdgeStream> = match kind {
             "gnp" => {
-                let d: f64 = args.parsed_or("d", 8.0)?;
+                let d = args.degree_or(8.0)?;
                 Box::new(GnpStream::with_average_degree(n, d, seed)?)
             }
             "far" => {
-                let d: f64 = args.parsed_or("d", 8.0)?;
-                let eps: f64 = args.parsed_or("eps", 0.2)?;
+                let d = args.degree_or(8.0)?;
+                let eps = args.eps_or(0.2)?;
                 Box::new(FarStream::new(n, d, eps, seed)?)
             }
             "powerlaw" => {
-                let d: f64 = args.parsed_or("d", 8.0)?;
+                let d = args.degree_or(8.0)?;
                 let beta: f64 = args.parsed_or("beta", 2.5)?;
                 Box::new(ChungLuStream::new(n, d, beta, seed)?)
             }
@@ -131,12 +131,12 @@ fn gen_graph(args: &ArgMap, kind: &str, n: usize, seed: u64) -> Result<Graph, Cl
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let graph = match kind {
         "far" => {
-            let d: f64 = args.parsed_or("d", 8.0)?;
-            let eps: f64 = args.parsed_or("eps", 0.2)?;
+            let d = args.degree_or(8.0)?;
+            let eps = args.eps_or(0.2)?;
             generators::far_graph(n, d, eps, &mut rng)?
         }
         "gnp" => {
-            let d: f64 = args.parsed_or("d", 8.0)?;
+            let d = args.degree_or(8.0)?;
             generators::gnp_with_average_degree(n, d, &mut rng)
         }
         "dense-core" => {
@@ -152,7 +152,7 @@ fn gen_graph(args: &ArgMap, kind: &str, n: usize, seed: u64) -> Result<Graph, Cl
             inst.graph().clone()
         }
         "powerlaw" => {
-            let d: f64 = args.parsed_or("d", 8.0)?;
+            let d = args.degree_or(8.0)?;
             let beta: f64 = args.parsed_or("beta", 2.5)?;
             generators::ChungLu::new(n, d, beta)?.sample(&mut rng)
         }
@@ -220,7 +220,7 @@ pub fn partition(args: &ArgMap) -> Result<String, CliError> {
 /// `triad info` — statistics and farness certificates.
 pub fn info(args: &ArgMap) -> Result<String, CliError> {
     let g = load_graph(args.required("graph")?)?;
-    let eps: f64 = args.parsed_or("eps", 0.1)?;
+    let eps = args.eps_or(0.1)?;
     let bounds = distance::distance_bounds(&g);
     let mut out = String::new();
     out.push_str(&format!("vertices: {}\n", g.vertex_count()));
@@ -303,9 +303,9 @@ pub fn hfree(args: &ArgMap) -> Result<String, CliError> {
         "c5" => triad_graph::subgraphs::Pattern::cycle(5),
         other => return Err(CliError::Usage(format!("unknown --pattern `{other}`"))),
     };
-    let eps: f64 = args.parsed_or("eps", 0.2)?;
+    let eps = args.eps_or(0.2)?;
     let seed: u64 = args.parsed_or("seed", 0)?;
-    let d: f64 = args.parsed_or("d", g.average_degree())?;
+    let d = args.degree_or(g.average_degree())?;
     let run = triad_protocols::subgraphs::run_h_freeness(
         Tuning::practical(eps),
         pattern,
@@ -368,7 +368,7 @@ pub fn congest(args: &ArgMap) -> Result<String, CliError> {
 /// the protocol execution and the output format are identical.
 pub fn test(args: &ArgMap) -> Result<String, CliError> {
     let protocol = args.required("protocol")?;
-    let eps: f64 = args.parsed_or("eps", 0.2)?;
+    let eps = args.eps_or(0.2)?;
     let seed: u64 = args.parsed_or("seed", 0)?;
     let cost_model = match args.optional("cost-model").unwrap_or("coordinator") {
         "coordinator" => CostModel::Coordinator,
@@ -384,7 +384,7 @@ pub fn test(args: &ArgMap) -> Result<String, CliError> {
     let g = load_graph(args.required("graph")?)?;
     let shares = load_shares(args.required("shares")?, g.vertex_count())?;
     let parts = Partition::new(shares);
-    let d: f64 = args.parsed_or("d", g.average_degree())?;
+    let d = args.degree_or(g.average_degree())?;
     let breakdown = args
         .optional("breakdown")
         .map(|v| v == "true")
@@ -431,26 +431,19 @@ pub fn test(args: &ArgMap) -> Result<String, CliError> {
     if reps == 0 {
         return Err(CliError::Usage("--reps must be positive".into()));
     }
-    let record = args.optional("record").unwrap_or("tally");
-    if record != "tally" && record != "full" {
-        return Err(CliError::Usage(format!(
-            "unknown --record `{record}` (expected tally or full)"
-        )));
-    }
     // With --reps > 1 the run is amplified: repetitions execute on the
     // configured worker pool (--threads), first witness wins, and cost
     // covers exactly the repetitions a serial loop would have performed.
-    // `--record tally` (the default) skips the per-event log; totals and
-    // verdicts are identical either way (see docs/RUNTIME.md).
+    let input = PreparedInput::new(&g, &parts)?;
     let tester = tester_for(protocol, tuning, d, cost_model, repr)?;
-    let (outcome, stats) = if record == "tally" {
-        triad_protocols::amplify::run_amplified_tally(&&*tester, &g, &parts, reps, seed)
-            .map(|r| (r.outcome, r.stats))?
-    } else {
-        triad_protocols::amplify::run_amplified(&&*tester, &g, &parts, reps, seed)
-            .map(|r| (r.outcome, r.stats))?
-    };
-    Ok(render_test_run(&outcome, &stats))
+    let run = triad_protocols::amplify::run_amplified_prepared(
+        &triad_comm::pool::Pool::current(),
+        &*tester,
+        &input,
+        reps,
+        seed,
+    )?;
+    Ok(render_test_run(&run.outcome, &run.stats))
 }
 
 /// The `--graph-file` arm of `triad test`: open the binary CSR store
@@ -474,34 +467,18 @@ fn test_store(
                 .into(),
         ));
     }
-    match args.optional("record").unwrap_or("tally") {
-        "tally" => {}
-        "full" => {
-            return Err(CliError::Usage(
-                "--record full replays repetitions over a materialized graph; \
-                 --graph-file runs keep only tallies (use --graph/--shares for \
-                 full transcripts)"
-                    .into(),
-            ))
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --record `{other}` (expected tally or full)"
-            )))
-        }
-    }
     let reps: u32 = args.parsed_or("reps", 1)?;
     if reps == 0 {
         return Err(CliError::Usage("--reps must be positive".into()));
     }
     let store = CsrStore::open(Path::new(path))?;
-    let d: f64 = args.parsed_or("d", store.average_degree())?;
+    let d = args.degree_or(store.average_degree())?;
     let parts = partition_for(args, &store)?;
     let input = PreparedInput::from_partition(store.vertex_count(), &parts)?;
     let tester = tester_for(protocol, tuning, d, cost_model, repr)?;
     let run = triad_protocols::amplify::run_amplified_prepared(
         &triad_comm::pool::Pool::current(),
-        &&*tester,
+        &*tester,
         &input,
         reps,
         seed,
@@ -530,7 +507,7 @@ fn render_test_run(
 pub fn chaos(args: &ArgMap) -> Result<String, CliError> {
     use triad_protocols::ChaosOutcome;
     let protocol = args.required("protocol")?;
-    let eps: f64 = args.parsed_or("eps", 0.2)?;
+    let eps = args.eps_or(0.2)?;
     let seed: u64 = args.parsed_or("seed", 0)?;
     let reps: u32 = args.parsed_or("reps", 8)?;
     if reps == 0 {
@@ -559,31 +536,28 @@ pub fn chaos(args: &ArgMap) -> Result<String, CliError> {
     let tuning = Tuning::practical(eps).with_repr(repr);
     // `chaos` has no --cost-model flag; CostModel::Coordinator is the
     // unrestricted tester's own default, so tester_for changes nothing.
-    let run = if let Some(path) = args.optional("graph-file") {
+    let (graph, parts);
+    let (input, d) = if let Some(path) = args.optional("graph-file") {
         let store = CsrStore::open(Path::new(path))?;
-        let d: f64 = args.parsed_or("d", store.average_degree())?;
-        let parts = partition_for(args, &store)?;
+        parts = partition_for(args, &store)?;
         let input = PreparedInput::from_partition(store.vertex_count(), &parts)?;
-        let tester = tester_for(protocol, tuning, d, CostModel::Coordinator, repr)?;
-        triad_protocols::run_chaos_amplified(
-            &triad_comm::pool::Pool::current(),
-            &&*tester,
-            &input,
-            reps,
-            seed,
-            &plan,
-            quorum,
-        )
+        (input, args.degree_or(store.average_degree())?)
     } else {
-        let g = load_graph(args.required("graph")?)?;
-        let shares = load_shares(args.required("shares")?, g.vertex_count())?;
-        let parts = Partition::new(shares);
-        let d: f64 = args.parsed_or("d", g.average_degree())?;
-        let tester = tester_for(protocol, tuning, d, CostModel::Coordinator, repr)?;
-        triad_protocols::run_chaos_amplified_tally(
-            &&*tester, &g, &parts, reps, seed, &plan, quorum,
-        )?
+        graph = load_graph(args.required("graph")?)?;
+        parts = Partition::new(load_shares(args.required("shares")?, graph.vertex_count())?);
+        let input = PreparedInput::new(&graph, &parts)?;
+        (input, args.degree_or(graph.average_degree())?)
     };
+    let tester = tester_for(protocol, tuning, d, CostModel::Coordinator, repr)?;
+    let run = triad_protocols::run_chaos_amplified(
+        &triad_comm::pool::Pool::current(),
+        &*tester,
+        &input,
+        reps,
+        seed,
+        &plan,
+        quorum,
+    );
     let verdict = match run.outcome {
         ChaosOutcome::TriangleFound(t) => format!("triangle {t}"),
         ChaosOutcome::NoTriangleFound => "accepted (quorum met, no triangle found)".to_string(),
@@ -624,28 +598,12 @@ pub fn chaos(args: &ArgMap) -> Result<String, CliError> {
 /// in `docs/OBSERVABILITY.md`.
 pub fn report(args: &ArgMap) -> Result<String, CliError> {
     use triad_bench::report as engine;
-    match args.optional("record").unwrap_or("full") {
-        "full" => {}
-        "tally" => {
-            return Err(CliError::Usage(
-                "`triad report` needs the per-event transcript for its per-phase \
-                 and per-player breakdowns, but `--record tally` keeps only \
-                 counters; re-run with `--record full` (the default)"
-                    .into(),
-            ))
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --record `{other}` (expected tally or full)"
-            )))
-        }
-    }
     let protocol = args.required("protocol")?;
     let generator = args.required("gen")?;
     let n: usize = args.required_parsed("n")?;
     let k: usize = args.required_parsed("k")?;
-    let d: f64 = args.parsed_or("d", 8.0)?;
-    let eps: f64 = args.parsed_or("eps", 0.2)?;
+    let d = args.degree_or(8.0)?;
+    let eps = args.eps_or(0.2)?;
     let seed: u64 = args.parsed_or("seed", 0)?;
     let w = engine::generate(generator, n, d, eps, k, seed)
         .map_err(|e| CliError::Usage(e.to_string()))?;

@@ -35,14 +35,11 @@ commands:
              [--scheme random|duplication|vertex] [--dup-p P]
              [--partition-seed S] — opens the binary CSR container of
              docs/IO.md read-only (mmap when available), partitions its
-             edges in-process, and runs graph-free; --breakdown and
-             --record full need the in-memory path)
+             edges in-process, and runs graph-free; --breakdown needs
+             the in-memory path)
              [--eps E] [--seed S] [--cost-model coordinator|blackboard|message-passing]
              [--d D] [--breakdown true]   (per-phase bits; unrestricted only)
              [--reps R]   (amplify: up to R repetitions, first witness wins)
-             [--record tally|full]   (cost recorder: counters-only fast
-             path (default) or full event log — totals are identical,
-             see docs/RUNTIME.md)
              [--payload auto|edges|bits]   (edge-payload representation;
              verdicts and recorded bits are identical, see docs/RUNTIME.md)
   chaos      run a protocol's amplified sweep under deterministic fault
@@ -65,8 +62,6 @@ commands:
              --protocol unrestricted|sim-low|sim-high|sim-oblivious|exact
              --gen planted|gnp|powerlaw|dense-core  --n N  --k K
              [--d D] [--eps E] [--seed S] [--json] [--out FILE] [--transcript FILE]
-             [--record full]   (the per-event breakdowns need the full
-             recorder; a tally-only run is refused with a hint)
   serve      host a networked coordinator run over TCP; waits for k
              players, drives the protocol, prints the `triad test`
              verdict/stats lines (wire format: docs/NETWORKING.md)
@@ -107,6 +102,9 @@ commands:
              (or out-of-core: --graph-file FILE.csr [--reps R] — time the
              triangle kernels and one prepared protocol run over the
              mapped container, with peak-RSS / owned-bytes evidence)
+
+ε (--eps) must be in (0, 1] and the degree hint (--d) finite and positive,
+wherever they are accepted.
 
 global options:
   --threads N  size of the deterministic worker pool for amplified runs
@@ -201,30 +199,6 @@ mod tests {
             out.contains("triangle") || out.contains("accepted"),
             "{out}"
         );
-        // The two recorder modes must print byte-identical results: the
-        // tally fast path changes bookkeeping, never totals.
-        let tally = run(&argv(&format!(
-            "test --graph {} --shares {} --protocol low --eps 0.2 --seed 3 --d 8 \
-             --reps 4 --record tally",
-            g.display(),
-            shares.display()
-        )))
-        .unwrap();
-        let full = run(&argv(&format!(
-            "test --graph {} --shares {} --protocol low --eps 0.2 --seed 3 --d 8 \
-             --reps 4 --record full",
-            g.display(),
-            shares.display()
-        )))
-        .unwrap();
-        assert_eq!(tally, full, "recorder modes diverged");
-        let err = run(&argv(&format!(
-            "test --graph {} --shares {} --protocol low --record sometimes",
-            g.display(),
-            shares.display()
-        )))
-        .unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)));
         let out = run(&argv(&format!(
             "count --graph {} --shares {} --p 0.5 --trials 4",
             g.display(),
@@ -448,22 +422,6 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn report_refuses_tally_recorder_with_hint() {
-        let err = run(&argv(
-            "report --protocol sim-low --gen planted --n 300 --k 4 --record tally",
-        ))
-        .unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("--record full"), "{msg}");
-        assert!(msg.contains("per-event transcript"), "{msg}");
-        let err = run(&argv(
-            "report --protocol sim-low --gen planted --n 300 --k 4 --record sometimes",
-        ))
-        .unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)));
     }
 
     /// Polls `path` until the serve side has published its ephemeral
@@ -724,6 +682,8 @@ mod tests {
             "serve --bind 127.0.0.1:0 --k 2 --protocol low --n 10 --deadline-ms 0",
             "serve --bind 127.0.0.1:0 --k 2 --protocol low --n 10 --deadline-ms soon",
             "serve --bind 127.0.0.1:0 --k 2 --protocol low --n 10 --window-ms forever",
+            "serve --bind 127.0.0.1:0 --k 2 --protocol low --n 10 --eps 0",
+            "serve --bind 127.0.0.1:0 --k 2 --protocol low --n 10 --d NaN",
         ] {
             let err = run(&argv(bad)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "`{bad}`: {err}");
@@ -846,10 +806,6 @@ mod tests {
                 "test --graph-file {} --k 4 --protocol unrestricted --breakdown",
                 csr.display()
             ),
-            format!(
-                "test --graph-file {} --k 4 --protocol low --record full",
-                csr.display()
-            ),
             format!("test --graph-file {} --k 0 --protocol low", csr.display()),
             format!(
                 "gen --kind far --n 60 --format json --out {}",
@@ -869,6 +825,60 @@ mod tests {
         )))
         .unwrap_err();
         assert!(matches!(err, CliError::Store(_)), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bad_eps_or_degree_is_a_usage_error_before_anything_runs() {
+        // ε = 0 once spun forever in the unrestricted tester, and a NaN
+        // degree hint slipped past the `d <= 0` guards so `low`/`high`
+        // "accepted" an ε-far graph. Both must now be refused up front.
+        let dir = std::env::temp_dir().join(format!("triad-cli-params-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let g = dir.join("g.el");
+        let shares = dir.join("p");
+        run(&argv(&format!(
+            "gen --kind far --n 600 --d 8 --eps 0.2 --seed 1 --out {}",
+            g.display()
+        )))
+        .unwrap();
+        run(&argv(&format!(
+            "partition --graph {} --k 4 --scheme random --seed 2 --out {}",
+            g.display(),
+            shares.display()
+        )))
+        .unwrap();
+        let input = format!("--graph {} --shares {}", g.display(), shares.display());
+        for bad in [
+            format!("test {input} --protocol unrestricted --eps 0"),
+            format!("test {input} --protocol low --d NaN"),
+            format!("test {input} --protocol high --d NaN"),
+            format!("test {input} --protocol low --d inf"),
+            format!("test {input} --protocol oblivious --eps NaN"),
+            format!("test {input} --protocol low --eps 1.5"),
+            format!("chaos {input} --protocol unrestricted --eps 0"),
+            format!("chaos {input} --protocol low --d NaN"),
+            format!("hfree {input} --pattern k3 --d NaN"),
+            format!("info --graph {} --eps 0", g.display()),
+            "report --protocol sim-low --gen planted --n 300 --k 4 --d NaN".to_string(),
+            format!(
+                "gen --kind far --n 60 --eps 0 --out {}",
+                dir.join("x").display()
+            ),
+            format!(
+                "gen --kind gnp --n 60 --d NaN --out {}",
+                dir.join("x").display()
+            ),
+        ] {
+            let started = std::time::Instant::now();
+            let err = run(&argv(&bad)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "`{bad}`: {err}");
+            assert!(
+                started.elapsed() < std::time::Duration::from_secs(10),
+                "`{bad}` took {:?}",
+                started.elapsed()
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

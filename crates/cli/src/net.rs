@@ -9,7 +9,7 @@
 //! coordinator's Welcome, then answers requests until the coordinator
 //! says goodbye. The wire format is specified in `docs/NETWORKING.md`.
 
-use crate::args::{ArgMap, CliError};
+use crate::args::{parse_degree, parse_eps, ArgMap, CliError};
 use crate::commands::load_graph;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -101,8 +101,8 @@ pub fn serve(args: &ArgMap) -> Result<String, CliError> {
         }
         None => (args.required_parsed("n")?, 8.0),
     };
-    let eps: f64 = args.parsed_or("eps", 0.2)?;
-    let d: f64 = args.parsed_or("d", d_default)?;
+    let eps = args.eps_or(0.2)?;
+    let d = args.degree_or(d_default)?;
     if (protocol == "low" || protocol == "high") && d <= 0.0 {
         return Err(CliError::Usage(
             "--d must be positive for the degree-aware protocols".into(),
@@ -369,22 +369,18 @@ type SimResponder = Box<dyn FnMut(&PlayerState, &SharedRandomness) -> SimMessage
 /// protocol object the coordinator's referee uses, fed the same shared
 /// randomness, so the posted message matches the in-process transcript.
 fn sim_closure(w: &triad_comm::Welcome) -> Result<SimResponder, CliError> {
+    // The params arrive from the network: ε and d go through the same
+    // validated parse as `--eps`/`--d`. The degree hint is checked only
+    // where a protocol reads it, so a degree-oblivious run on an
+    // edgeless graph (d = 0) still serves.
     let mut eps = 0.2f64;
-    let mut d = 8.0f64;
+    let mut d = "8";
     let mut repr = PayloadRepr::Auto;
     for tok in w.params.split_whitespace() {
         if let Some((key, val)) = tok.split_once('=') {
             match key {
-                "eps" => {
-                    eps = val.parse().map_err(|e| {
-                        CliError::Usage(format!("bad eps `{val}` in coordinator params: {e}"))
-                    })?;
-                }
-                "d" => {
-                    d = val.parse().map_err(|e| {
-                        CliError::Usage(format!("bad d `{val}` in coordinator params: {e}"))
-                    })?;
-                }
+                "eps" => eps = parse_eps("the coordinator's eps", val)?,
+                "d" => d = val,
                 "repr" => {
                     repr = val.parse().map_err(|e| {
                         CliError::Usage(format!("bad repr `{val}` in coordinator params: {e}"))
@@ -397,11 +393,11 @@ fn sim_closure(w: &triad_comm::Welcome) -> Result<SimResponder, CliError> {
     let tuning = Tuning::practical(eps).with_repr(repr);
     Ok(match w.protocol.as_str() {
         "low" => {
-            let p = AlgLow::new(tuning, d);
+            let p = AlgLow::new(tuning, parse_degree("the coordinator's d", d)?);
             Box::new(move |s, r| p.message(s, r).into_owned())
         }
         "high" => {
-            let p = AlgHigh::new(tuning, d);
+            let p = AlgHigh::new(tuning, parse_degree("the coordinator's d", d)?);
             Box::new(move |s, r| p.message(s, r).into_owned())
         }
         "oblivious" => {
@@ -418,4 +414,43 @@ fn sim_closure(w: &triad_comm::Welcome) -> Result<SimResponder, CliError> {
             ))))
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn welcome(protocol: &str, params: &str) -> triad_comm::Welcome {
+        triad_comm::Welcome {
+            player: 0,
+            k: 2,
+            n: 10,
+            seed: 0,
+            cost_model: CostModel::Coordinator,
+            protocol: protocol.to_string(),
+            params: params.to_string(),
+            resume_nonce: 0,
+        }
+    }
+
+    #[test]
+    fn sim_closure_validates_the_coordinators_params() {
+        assert!(sim_closure(&welcome("low", "eps=0.2 d=8 repr=auto")).is_ok());
+        // The degree hint is checked only where a protocol reads it.
+        assert!(sim_closure(&welcome("oblivious", "eps=0.2 d=0")).is_ok());
+        for (protocol, params) in [
+            ("low", "eps=0 d=8"),
+            ("oblivious", "eps=NaN d=8"),
+            ("exact", "eps=2 d=8"),
+            ("low", "eps=0.2 d=NaN"),
+            ("high", "eps=0.2 d=inf"),
+            ("high", "eps=0.2 d=0"),
+        ] {
+            let err = sim_closure(&welcome(protocol, params)).err();
+            assert!(
+                matches!(err, Some(CliError::Usage(_))),
+                "{protocol} `{params}`"
+            );
+        }
+    }
 }

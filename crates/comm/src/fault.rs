@@ -633,6 +633,20 @@ pub struct ChaosFailure<R> {
     pub injected: FaultStats,
 }
 
+impl<R: Recorder> ChaosFailure<R> {
+    /// A repetition abandoned before any communication — e.g. a
+    /// rejected protocol parameter — as [`RunError::Aborted`] with
+    /// nothing spent.
+    pub fn aborted(reason: String, k: usize) -> Self {
+        ChaosFailure {
+            error: RunError::Aborted { reason },
+            stats: CommStats::default(),
+            transcript: R::with_players(k),
+            injected: FaultStats::default(),
+        }
+    }
+}
+
 /// A surviving chaos execution: the run plus its injected-fault counts.
 #[derive(Debug, Clone)]
 pub struct SimChaos<O, R> {
@@ -712,26 +726,10 @@ pub fn run_simultaneous_chaos<P: SimultaneousProtocol, R: Recorder>(
     if let Some(error) = fatal {
         // Every message was sent simultaneously before the faults hit:
         // the bits are spent whether or not the referee can proceed.
-        let mut transcript = R::with_players(messages.len());
-        transcript.reserve_messages(messages.iter().map(|m| m.payloads().len()).sum());
-        let mut total = 0u64;
-        let mut per_player_bits = vec![0u64; messages.len()];
-        for (j, m) in messages.iter().enumerate() {
-            for (payload, phase) in m.payloads().iter().zip(m.phases()) {
-                transcript.set_phase(phase);
-                transcript.record(Some(j), Direction::ToCoordinator, payload.bit_len(n), phase);
-            }
-            per_player_bits[j] = m.bit_len(n).get();
-            total += per_player_bits[j];
-        }
+        let (transcript, stats, _) = crate::simultaneous::charge(n, &messages);
         return Err(ChaosFailure {
             error,
-            stats: CommStats {
-                total_bits: total,
-                rounds: 1,
-                messages: messages.len() as u64,
-                max_player_sent_bits: per_player_bits.iter().copied().max().unwrap_or(0),
-            },
+            stats,
             transcript,
             injected,
         });

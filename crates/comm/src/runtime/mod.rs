@@ -7,7 +7,7 @@
 //! every request/response pair, and delivers requests through a
 //! [`Transport`] — either [`LocalTransport`] (deterministic, sequential,
 //! in-process) or [`ThreadedTransport`] (one OS thread per player,
-//! crossbeam channels). Both transports produce **identical transcripts**
+//! `std::sync::mpsc` channels). Both transports produce **identical transcripts**
 //! for the same seed, because all protocol randomness flows through the
 //! shared string, never through scheduling; both recorders produce
 //! **identical totals and rollups**, because every charge funnels

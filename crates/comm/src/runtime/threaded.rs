@@ -3,7 +3,7 @@ use crate::message::Payload;
 use crate::player::PlayerState;
 use crate::rand::SharedRandomness;
 use crate::request::{Envelope, PlayerRequest};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use triad_graph::Edge;
@@ -15,7 +15,7 @@ use triad_graph::Edge;
 pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One OS thread per player, communicating with the coordinator over
-/// crossbeam channels — a genuinely concurrent execution of the same
+/// `std::sync::mpsc` channels — a genuinely concurrent execution of the same
 /// protocols.
 ///
 /// Because all protocol randomness is derived from the shared string and
@@ -56,8 +56,8 @@ impl ThreadedTransport {
         let mut receivers = Vec::with_capacity(shares.len());
         let mut handles = Vec::with_capacity(shares.len());
         for (j, share) in shares.iter().enumerate() {
-            let (req_tx, req_rx) = unbounded::<Envelope>();
-            let (resp_tx, resp_rx) = unbounded::<Payload<'static>>();
+            let (req_tx, req_rx) = channel::<Envelope>();
+            let (resp_tx, resp_rx) = channel::<Payload<'static>>();
             let state = PlayerState::new(j, n, share);
             let handle = std::thread::Builder::new()
                 .name(format!("triad-player-{j}"))
@@ -208,8 +208,8 @@ mod tests {
     fn wedged_player_trips_receive_deadline() {
         // Hand-assemble a transport whose "player" receives requests but
         // never answers: the deadline must fire as a Timeout, not hang.
-        let (req_tx, req_rx) = unbounded::<Envelope>();
-        let (_resp_tx, resp_rx) = unbounded::<Payload<'static>>();
+        let (req_tx, req_rx) = channel::<Envelope>();
+        let (_resp_tx, resp_rx) = channel::<Payload<'static>>();
         let handle = std::thread::spawn(move || {
             // Keep the request channel open until Halt so the send
             // succeeds and the failure is unambiguously the deadline.

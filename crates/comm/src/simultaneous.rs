@@ -206,8 +206,27 @@ pub(crate) fn finish<P: SimultaneousProtocol, R: Recorder>(
     messages: Vec<SimMessage<'_>>,
     shared: SharedRandomness,
 ) -> SimRun<P::Output, R> {
+    let (transcript, stats, per_player_bits) = charge(n, &messages);
+    let output = protocol.referee(n, &messages, &shared);
+    SimRun {
+        output,
+        stats,
+        per_player_bits,
+        transcript,
+    }
+}
+
+/// Charges one simultaneous round: one `ToCoordinator` charge per
+/// payload at the payload's model bit cost, tagged with its phase.
+/// Returns the recorder, the round's stats and each player's bits —
+/// shared by [`finish`] and the fatal branch of
+/// [`crate::fault::run_simultaneous_chaos`], so a killed round pays
+/// exactly what a completed one would.
+pub(crate) fn charge<R: Recorder>(
+    n: usize,
+    messages: &[SimMessage<'_>],
+) -> (R, CommStats, Vec<u64>) {
     let per_player_bits: Vec<u64> = messages.iter().map(|m| m.bit_len(n).get()).collect();
-    let total: u64 = per_player_bits.iter().sum();
     let mut transcript = R::with_players(messages.len());
     transcript.reserve_messages(messages.iter().map(|m| m.payloads().len()).sum());
     for (j, m) in messages.iter().enumerate() {
@@ -216,18 +235,13 @@ pub(crate) fn finish<P: SimultaneousProtocol, R: Recorder>(
             transcript.record(Some(j), Direction::ToCoordinator, payload.bit_len(n), phase);
         }
     }
-    let output = protocol.referee(n, &messages, &shared);
-    SimRun {
-        output,
-        stats: CommStats {
-            total_bits: total,
-            rounds: 1,
-            messages: messages.len() as u64,
-            max_player_sent_bits: per_player_bits.iter().copied().max().unwrap_or(0),
-        },
-        per_player_bits,
-        transcript,
-    }
+    let stats = CommStats {
+        total_bits: per_player_bits.iter().sum(),
+        rounds: 1,
+        messages: messages.len() as u64,
+        max_player_sent_bits: per_player_bits.iter().copied().max().unwrap_or(0),
+    };
+    (transcript, stats, per_player_bits)
 }
 
 #[cfg(test)]

@@ -20,13 +20,12 @@
 //! The JSON/CSV schema is documented in `docs/OBSERVABILITY.md`.
 
 use crate::bits::BitCost;
-use serde::Serialize;
 
 /// The phase events carry when no explicit phase scope is active.
 pub const DEFAULT_PHASE: &str = "unphased";
 
 /// Direction of a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// Coordinator → one player.
     ToPlayer,
@@ -58,7 +57,7 @@ impl Direction {
 }
 
 /// One recorded message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
     /// Communication round index.
     pub round: u64,
@@ -486,7 +485,7 @@ pub(crate) fn rollup_array_json(rows: &[Rollup], indent: &str) -> String {
 }
 
 /// One row of a transcript rollup: an aggregation key with its totals.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rollup {
     /// The aggregation key (a phase name, `player-j`, `round-i`, or a
     /// direction name).
@@ -498,7 +497,7 @@ pub struct Rollup {
 }
 
 /// Aggregate totals for one transcript label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LabelTotals {
     /// The message-kind label.
     pub label: &'static str,
@@ -509,7 +508,7 @@ pub struct LabelTotals {
 }
 
 /// Summary statistics of one protocol run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CommStats {
     /// Total bits exchanged (the paper's `CC(Π)` sample).
     pub total_bits: u64,

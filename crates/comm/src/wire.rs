@@ -15,9 +15,9 @@
 //! [`RunError::Corrupt`](crate::runtime::RunError::Corrupt) by the TCP
 //! transport — instead of desynchronizing the stream silently.
 //!
-//! The codec is hand-rolled: this build environment vendors a no-op
-//! `serde` shim (see `vendor/README.md`), so nothing here may rely on
-//! derived serialization. All integers are big-endian; floats travel as
+//! The codec is hand-rolled: the workspace has no serialization
+//! framework, so nothing here may rely on derived serialization. All
+//! integers are big-endian; floats travel as
 //! their IEEE-754 bit patterns; strings are UTF-8 with a `u32` length
 //! prefix.
 //!

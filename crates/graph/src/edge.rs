@@ -1,5 +1,4 @@
 use crate::VertexId;
-use serde::{Deserialize, Serialize};
 
 /// An undirected edge, stored canonically with `u() < v()`.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(e1, e2);
 /// assert_eq!(e1.u(), VertexId(2));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Edge {
     u: VertexId,
     v: VertexId,

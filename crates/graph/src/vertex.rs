@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a vertex: an index in `0..n`.
 ///
 /// A newtype over `u32` so vertex indices cannot be confused with counts,
@@ -12,9 +10,7 @@ use serde::{Deserialize, Serialize};
 /// let v = VertexId(7);
 /// assert_eq!(v.index(), 7);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 #[repr(transparent)] // the store casts `&[u32]` mapped slices to `&[VertexId]`
 pub struct VertexId(pub u32);
 

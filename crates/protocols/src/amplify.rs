@@ -9,10 +9,11 @@
 
 use std::sync::Arc;
 
+use crate::chaos::ChaosRep;
 use crate::outcome::{ProtocolError, ProtocolRun, TallyRun, TestOutcome};
 use triad_comm::player::players_from_shares;
 use triad_comm::pool::Pool;
-use triad_comm::{PlayerState, Recorder, Tally};
+use triad_comm::{ChaosFailure, FaultPlan, PlayerState, Recorder, RunError, Tally};
 use triad_graph::partition::Partition;
 use triad_graph::Graph;
 
@@ -79,11 +80,8 @@ impl<'g> PreparedInput<'g> {
     /// [`triad_graph::CsrStore`]'s borrowed slices and only the
     /// per-player states are ever allocated.
     ///
-    /// Testers that override
-    /// [`run_prepared`](Repeatable::run_prepared) (every tester in this
-    /// crate) run natively; only the downconversion bridge for external
-    /// `run_once`-only impls needs the graph and will report
-    /// [`ProtocolError::InvalidInput`].
+    /// Every [`Repeatable::run_repetition`] runs off the player states
+    /// alone, so protocol execution is identical either way.
     ///
     /// # Errors
     ///
@@ -133,9 +131,17 @@ impl<'g> PreparedInput<'g> {
 }
 
 /// Anything that can run once over a partitioned input — implemented by
-/// both tester families, so amplification is written once.
+/// every tester in this crate, so amplification is written once.
+///
+/// Both methods run **one repetition** with a given public seed; the
+/// folds ([`run_amplified_with`], [`run_amplified_prepared`],
+/// [`run_chaos_amplified`](crate::chaos::run_chaos_amplified)) derive
+/// the seeds and stop at the first witness.
 pub trait Repeatable {
-    /// One run with the given public seed.
+    /// One run with the given public seed, validating the shares and
+    /// building every player from scratch, with the full event log —
+    /// the **reference** path the fast path is checked against
+    /// (`tests/recorder_differential.rs`, `tests/parallel_equivalence.rs`).
     ///
     /// # Errors
     ///
@@ -147,208 +153,50 @@ pub trait Repeatable {
         seed: u64,
     ) -> Result<ProtocolRun, ProtocolError>;
 
-    /// One run over a [`PreparedInput`], recording into a [`Tally`] —
-    /// the fast path amplified sweeps take. The default falls back to
-    /// [`run_once`](Self::run_once) and down-converts; the testers in
-    /// this crate override it to skip per-rep validation, player
-    /// construction, and event logging entirely.
+    /// One repetition over a [`PreparedInput`], recording into a
+    /// [`Tally`] — the fast path every sweep takes: no per-repetition
+    /// validation, no player rebuild, no event log.
+    ///
+    /// With `faults = None` the repetition runs fault-free, exactly as
+    /// an undisturbed execution (its `injected` counts are zero). With
+    /// `Some((plan, rep))` it runs as repetition `rep` under `plan`:
+    /// multi-round testers retry retryable faults up to
+    /// [`triad_comm::DEFAULT_RETRY_BUDGET`] times per delivery (charged
+    /// under [`triad_comm::RETRANSMIT_LABEL`]); one-round testers cannot
+    /// retry, so a dropped, crashed or corrupted message is fatal.
     ///
     /// # Errors
     ///
-    /// Implementations surface their own [`ProtocolError`]s.
-    fn run_prepared(
+    /// Returns a [`ChaosFailure`] — with the bits already spent — when an
+    /// unrecovered fault killed the repetition without a witness, or a
+    /// [`ChaosFailure::aborted`] when the tester rejects its parameters
+    /// (e.g. a non-finite or non-positive degree hint) before anything
+    /// runs.
+    fn run_repetition(
         &self,
         input: &PreparedInput<'_>,
         seed: u64,
-    ) -> Result<TallyRun, ProtocolError> {
-        let g = input.graph().ok_or_else(|| {
-            ProtocolError::InvalidInput(
-                "this tester's run_prepared bridge needs a materialized graph; \
-                 prepare with PreparedInput::new, not from_partition"
-                    .into(),
-            )
-        })?;
-        self.run_once(g, input.partition(), seed)
-            .map(|run| run.to_tally())
-    }
-
-    /// One repetition under a [`FaultPlan`](triad_comm::FaultPlan) —
-    /// what [`run_chaos_amplified`](crate::chaos::run_chaos_amplified)
-    /// calls per repetition. A surviving repetition returns its run plus
-    /// injected-fault counts; a killed one returns the error with the
-    /// bits already spent.
-    ///
-    /// The default **ignores the plan** and runs fault-free (mapping
-    /// validation errors to [`RunError::Aborted`](triad_comm::RunError)):
-    /// it exists so external `Repeatable` impls keep compiling. Every
-    /// tester in this crate overrides it to actually inject faults.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::chaos::FailedRep`] when the repetition dies on
-    /// an unrecovered fault.
-    fn run_chaos(
-        &self,
-        input: &PreparedInput<'_>,
-        seed: u64,
-        plan: &triad_comm::FaultPlan,
-        rep: u32,
-        retry_budget: u32,
-    ) -> Result<crate::chaos::ChaosRep, Box<crate::chaos::FailedRep>> {
-        let _ = (plan, rep, retry_budget);
-        match self.run_prepared(input, seed) {
-            Ok(run) => Ok(crate::chaos::ChaosRep {
-                run,
-                injected: triad_comm::FaultStats::default(),
-            }),
-            Err(e) => Err(Box::new(crate::chaos::FailedRep::aborted(
-                e.to_string(),
-                input.k(),
-            ))),
-        }
-    }
+        faults: Option<(&FaultPlan, u32)>,
+    ) -> Result<ChaosRep, Box<ChaosFailure<Tally>>>;
 }
 
-impl<T: Repeatable + ?Sized> Repeatable for &T {
-    fn run_once(
-        &self,
-        g: &Graph,
-        partition: &Partition,
-        seed: u64,
-    ) -> Result<ProtocolRun, ProtocolError> {
-        (**self).run_once(g, partition, seed)
-    }
-
-    fn run_prepared(
-        &self,
-        input: &PreparedInput<'_>,
-        seed: u64,
-    ) -> Result<TallyRun, ProtocolError> {
-        (**self).run_prepared(input, seed)
-    }
-
-    fn run_chaos(
-        &self,
-        input: &PreparedInput<'_>,
-        seed: u64,
-        plan: &triad_comm::FaultPlan,
-        rep: u32,
-        retry_budget: u32,
-    ) -> Result<crate::chaos::ChaosRep, Box<crate::chaos::FailedRep>> {
-        (**self).run_chaos(input, seed, plan, rep, retry_budget)
-    }
+/// A fault-free repetition in fault-free terms: the only way such a
+/// repetition fails is a rejected parameter, which surfaces as
+/// [`ProtocolError::InvalidInput`].
+pub(crate) fn fault_free(
+    rep: Result<ChaosRep, Box<ChaosFailure<Tally>>>,
+) -> Result<TallyRun, ProtocolError> {
+    rep.map(|rep| rep.run).map_err(|fail| match fail.error {
+        RunError::Aborted { reason } => ProtocolError::InvalidInput(reason),
+        other => ProtocolError::InvalidInput(other.to_string()),
+    })
 }
 
-impl Repeatable for crate::UnrestrictedTester {
-    fn run_once(
-        &self,
-        g: &Graph,
-        partition: &Partition,
-        seed: u64,
-    ) -> Result<ProtocolRun, ProtocolError> {
-        self.run(g, partition, seed)
-    }
-
-    fn run_prepared(
-        &self,
-        input: &PreparedInput<'_>,
-        seed: u64,
-    ) -> Result<TallyRun, ProtocolError> {
-        Ok(self.run_prepared_tally(input, seed))
-    }
-
-    fn run_chaos(
-        &self,
-        input: &PreparedInput<'_>,
-        seed: u64,
-        plan: &triad_comm::FaultPlan,
-        rep: u32,
-        retry_budget: u32,
-    ) -> Result<crate::chaos::ChaosRep, Box<crate::chaos::FailedRep>> {
-        self.run_chaos_tally(input, seed, plan, rep, retry_budget)
-    }
-}
-
-impl Repeatable for crate::SimultaneousTester {
-    fn run_once(
-        &self,
-        g: &Graph,
-        partition: &Partition,
-        seed: u64,
-    ) -> Result<ProtocolRun, ProtocolError> {
-        self.run(g, partition, seed)
-    }
-
-    fn run_prepared(
-        &self,
-        input: &PreparedInput<'_>,
-        seed: u64,
-    ) -> Result<TallyRun, ProtocolError> {
-        self.run_prepared_tally(input, seed)
-    }
-
-    fn run_chaos(
-        &self,
-        input: &PreparedInput<'_>,
-        seed: u64,
-        plan: &triad_comm::FaultPlan,
-        rep: u32,
-        _retry_budget: u32,
-    ) -> Result<crate::chaos::ChaosRep, Box<crate::chaos::FailedRep>> {
-        // One-round protocols cannot retry; the budget is moot.
-        self.run_chaos_tally(input, seed, plan, rep)
-    }
-}
-
-/// Runs `tester` up to `repetitions` times with independent seeds
-/// derived from `base_seed`, stopping at the first witness. Miss
-/// probability `δ^repetitions`; cost is the sum of the runs performed
-/// (early exit on success).
-///
-/// # Errors
-///
-/// Propagates the first failing run's error.
-///
-/// # Example
-///
-/// ```
-/// use rand::SeedableRng;
-/// use triad_graph::generators::far_graph;
-/// use triad_graph::partition::random_disjoint;
-/// use triad_protocols::amplify::run_amplified;
-/// use triad_protocols::{SimProtocolKind, SimultaneousTester, Tuning};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-/// let g = far_graph(300, 8.0, 0.2, &mut rng)?;
-/// let parts = random_disjoint(&g, 4, &mut rng);
-/// let tester = SimultaneousTester::new(
-///     Tuning::practical(0.2),
-///     SimProtocolKind::Low { avg_degree: 8.0 },
-/// );
-/// let run = run_amplified(&tester, &g, &parts, 5, 7)?;
-/// assert!(run.outcome.found_triangle());
-/// # Ok(())
-/// # }
-/// ```
-pub fn run_amplified<T: Repeatable + Sync>(
-    tester: &T,
-    g: &Graph,
-    partition: &Partition,
-    repetitions: u32,
-    base_seed: u64,
-) -> Result<ProtocolRun, ProtocolError> {
-    run_amplified_with(
-        &Pool::current(),
-        tester,
-        g,
-        partition,
-        repetitions,
-        base_seed,
-    )
-}
-
-/// [`run_amplified`] on an explicit [`Pool`].
+/// Runs `tester` up to `repetitions` times on `pool` with independent
+/// seeds derived from `base_seed`, stopping at the first witness, over
+/// the **reference** path ([`Repeatable::run_once`]: players rebuilt and
+/// full transcripts logged every repetition). Miss probability
+/// `δ^repetitions`; cost is the sum of the runs performed.
 ///
 /// Repetitions are sharded across the pool's workers and reduced **in
 /// repetition order**, with serial early-exit semantics: the reduction
@@ -363,7 +211,7 @@ pub fn run_amplified<T: Repeatable + Sync>(
 ///
 /// Propagates the error of the first failing repetition (in repetition
 /// order, as the serial loop would).
-pub fn run_amplified_with<T: Repeatable + Sync>(
+pub fn run_amplified_with<T: Repeatable + Sync + ?Sized>(
     pool: &Pool,
     tester: &T,
     g: &Graph,
@@ -401,29 +249,11 @@ pub fn run_amplified_with<T: Repeatable + Sync>(
     })
 }
 
-/// The amplified **fast path**: prepares the input once, then runs
-/// [`run_amplified_prepared`] on the current pool. This is what bench
-/// loops and sweeps should call when they only need counters — same
-/// verdicts and bit totals as [`run_amplified`], no event log, no
-/// per-repetition player rebuild.
-///
-/// # Errors
-///
-/// Propagates validation errors from [`PreparedInput::new`] and the
-/// first failing repetition's error.
-pub fn run_amplified_tally<T: Repeatable + Sync>(
-    tester: &T,
-    g: &Graph,
-    partition: &Partition,
-    repetitions: u32,
-    base_seed: u64,
-) -> Result<TallyRun, ProtocolError> {
-    let input = PreparedInput::new(g, partition)?;
-    run_amplified_prepared(&Pool::current(), tester, &input, repetitions, base_seed)
-}
-
-/// [`run_amplified_tally`] over an already-prepared input on an explicit
-/// [`Pool`] — the innermost loop of amplified sweeps. Identical
+/// The amplified **fast path**: runs `tester` over an already-prepared
+/// input on `pool`, fault-free, recording only a [`Tally`] — the
+/// innermost loop of amplified sweeps. Same verdicts and bit totals as
+/// [`run_amplified_with`], no event log, no per-repetition player
+/// rebuild. Identical
 /// early-exit and in-order reduction semantics to
 /// [`run_amplified_with`]: merged stats and tally totals are
 /// byte-identical to the serial full-transcript path at any thread
@@ -433,7 +263,32 @@ pub fn run_amplified_tally<T: Repeatable + Sync>(
 ///
 /// Propagates the error of the first failing repetition (in repetition
 /// order, as the serial loop would).
-pub fn run_amplified_prepared<T: Repeatable + Sync>(
+///
+/// # Example
+///
+/// ```
+/// use rand::SeedableRng;
+/// use triad_comm::Pool;
+/// use triad_graph::generators::far_graph;
+/// use triad_graph::partition::random_disjoint;
+/// use triad_protocols::amplify::{run_amplified_prepared, PreparedInput};
+/// use triad_protocols::{SimProtocolKind, SimultaneousTester, Tuning};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
+/// let g = far_graph(300, 8.0, 0.2, &mut rng)?;
+/// let parts = random_disjoint(&g, 4, &mut rng);
+/// let tester = SimultaneousTester::new(
+///     Tuning::practical(0.2),
+///     SimProtocolKind::Low { avg_degree: 8.0 },
+/// );
+/// let input = PreparedInput::new(&g, &parts)?;
+/// let run = run_amplified_prepared(&Pool::current(), &tester, &input, 5, 7)?;
+/// assert!(run.outcome.found_triangle());
+/// # Ok(())
+/// # }
+/// ```
+pub fn run_amplified_prepared<T: Repeatable + Sync + ?Sized>(
     pool: &Pool,
     tester: &T,
     input: &PreparedInput<'_>,
@@ -443,7 +298,7 @@ pub fn run_amplified_prepared<T: Repeatable + Sync>(
     let reps = repetitions.max(1) as usize;
     let runs = pool.ordered_map_until(
         reps,
-        |r| tester.run_prepared(input, rep_seed(base_seed, r as u32)),
+        |r| fault_free(tester.run_repetition(input, rep_seed(base_seed, r as u32), None)),
         |run| match run {
             Ok(run) => run.outcome.found_triangle(),
             Err(_) => true,
@@ -506,9 +361,10 @@ mod tests {
         let single_hits = (0..20)
             .filter(|s| weak.run(&g, &parts, *s).unwrap().outcome.found_triangle())
             .count();
+        let input = PreparedInput::new(&g, &parts).unwrap();
         let amp_hits = (0..20)
             .filter(|s| {
-                run_amplified(&weak, &g, &parts, 8, 1000 + s)
+                run_amplified_prepared(&Pool::current(), &weak, &input, 8, 1000 + s)
                     .unwrap()
                     .outcome
                     .found_triangle()
@@ -531,7 +387,8 @@ mod tests {
             SimProtocolKind::Low { avg_degree: 8.0 },
         );
         let single = tester.run(&g, &parts, 3).unwrap();
-        let amplified = run_amplified(&tester, &g, &parts, 10, 3).unwrap();
+        let input = PreparedInput::new(&g, &parts).unwrap();
+        let amplified = run_amplified_prepared(&Pool::current(), &tester, &input, 10, 3).unwrap();
         assert!(amplified.outcome.found_triangle());
         // Strong single-run tester ⇒ amplified run usually stops at 1–2
         // repetitions; certainly nowhere near 10×.
@@ -549,7 +406,8 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let parts = random_disjoint(&g, 3, &mut rng);
         let tester = SimultaneousTester::new(Tuning::practical(0.2), SimProtocolKind::Oblivious);
-        let run = run_amplified(&tester, &g, &parts, 6, 0).unwrap();
+        let input = PreparedInput::new(&g, &parts).unwrap();
+        let run = run_amplified_prepared(&Pool::current(), &tester, &input, 6, 0).unwrap();
         assert!(run.outcome.accepts());
         // All repetitions were spent (no early exit possible).
         assert!(run.stats.messages >= 6 * 3);
@@ -647,42 +505,12 @@ mod tests {
         let input = PreparedInput::new(&g, &parts).unwrap();
         for seed in [3u64, 11] {
             let slow = tester.run(&g, &parts, seed).unwrap();
-            let fast = tester.run_prepared(&input, seed).unwrap();
+            let fast = tester.run_repetition(&input, seed, None).unwrap().run;
             assert_eq!(fast.outcome, slow.outcome, "seed {seed}");
             assert_eq!(fast.stats, slow.stats, "seed {seed}");
             assert_eq!(fast.transcript.by_phase(), slow.transcript.by_phase());
             assert_eq!(fast.transcript.breakdown(), slow.transcript.breakdown());
         }
-    }
-
-    #[test]
-    fn default_run_prepared_downconverts_faithfully() {
-        // A Repeatable with no fast-path override takes the
-        // run_once + to_tally bridge; it must agree with itself.
-        struct Wrapper(SimultaneousTester);
-        impl Repeatable for Wrapper {
-            fn run_once(
-                &self,
-                g: &Graph,
-                partition: &Partition,
-                seed: u64,
-            ) -> Result<ProtocolRun, ProtocolError> {
-                self.0.run(g, partition, seed)
-            }
-        }
-        let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let g = far_graph(200, 6.0, 0.2, &mut rng).unwrap();
-        let parts = random_disjoint(&g, 3, &mut rng);
-        let tester = Wrapper(SimultaneousTester::new(
-            Tuning::practical(0.2),
-            SimProtocolKind::Low { avg_degree: 6.0 },
-        ));
-        let input = PreparedInput::new(&g, &parts).unwrap();
-        let bridged = tester.run_prepared(&input, 1).unwrap();
-        let native = tester.0.run_prepared_tally(&input, 1).unwrap();
-        assert_eq!(bridged.outcome, native.outcome);
-        assert_eq!(bridged.stats, native.stats);
-        assert_eq!(bridged.transcript, native.transcript);
     }
 
     #[test]
@@ -701,42 +529,17 @@ mod tests {
         );
         let unr = crate::UnrestrictedTester::new(Tuning::practical(0.2));
         for seed in [0u64, 7, 19] {
-            let a = sim.run_prepared(&with_graph, seed).unwrap();
-            let b = sim.run_prepared(&graph_free, seed).unwrap();
+            let a = sim.run_repetition(&with_graph, seed, None).unwrap().run;
+            let b = sim.run_repetition(&graph_free, seed, None).unwrap().run;
             assert_eq!(a.outcome, b.outcome, "sim seed {seed}");
             assert_eq!(a.stats, b.stats, "sim seed {seed}");
             assert_eq!(a.transcript, b.transcript, "sim seed {seed}");
-            let a = unr.run_prepared(&with_graph, seed).unwrap();
-            let b = unr.run_prepared(&graph_free, seed).unwrap();
+            let a = unr.run_repetition(&with_graph, seed, None).unwrap().run;
+            let b = unr.run_repetition(&graph_free, seed, None).unwrap().run;
             assert_eq!(a.outcome, b.outcome, "unr seed {seed}");
             assert_eq!(a.stats, b.stats, "unr seed {seed}");
             assert_eq!(a.transcript, b.transcript, "unr seed {seed}");
         }
-    }
-
-    #[test]
-    fn graph_free_input_rejects_the_downconversion_bridge() {
-        struct Wrapper(SimultaneousTester);
-        impl Repeatable for Wrapper {
-            fn run_once(
-                &self,
-                g: &Graph,
-                partition: &Partition,
-                seed: u64,
-            ) -> Result<ProtocolRun, ProtocolError> {
-                self.0.run(g, partition, seed)
-            }
-        }
-        let mut rng = ChaCha8Rng::seed_from_u64(13);
-        let g = far_graph(120, 6.0, 0.2, &mut rng).unwrap();
-        let parts = random_disjoint(&g, 3, &mut rng);
-        let input = PreparedInput::from_partition(g.vertex_count(), &parts).unwrap();
-        let tester = Wrapper(SimultaneousTester::new(
-            Tuning::practical(0.2),
-            SimProtocolKind::Low { avg_degree: 6.0 },
-        ));
-        let err = tester.run_prepared(&input, 1).unwrap_err();
-        assert!(err.to_string().contains("materialized graph"), "{err}");
     }
 
     #[test]
@@ -754,10 +557,11 @@ mod tests {
         let g = Graph::from_edges(6, [(0, 1), (1, 2), (0, 2)]);
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let parts = random_disjoint(&g, 3, &mut rng);
-        let run = run_amplified(
+        let input = PreparedInput::new(&g, &parts).unwrap();
+        let run = run_amplified_prepared(
+            &Pool::current(),
             &crate::baseline::SendEverything::default(),
-            &g,
-            &parts,
+            &input,
             4,
             0,
         )
@@ -772,7 +576,8 @@ mod tests {
         let g = far_graph(240, 6.0, 0.2, &mut rng).unwrap();
         let parts = random_disjoint(&g, 4, &mut rng);
         let tester = crate::UnrestrictedTester::new(Tuning::practical(0.2));
-        let run = run_amplified(&tester, &g, &parts, 3, 9).unwrap();
+        let input = PreparedInput::new(&g, &parts).unwrap();
+        let run = run_amplified_prepared(&Pool::current(), &tester, &input, 3, 9).unwrap();
         assert!(run.outcome.found_triangle());
     }
 }

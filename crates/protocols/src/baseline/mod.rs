@@ -7,10 +7,12 @@
 //! testers against it is the headline experiment ("property testing is
 //! cheaper than exact decision").
 
+use crate::amplify::{PreparedInput, Repeatable};
+use crate::chaos::ChaosRep;
 use crate::outcome::{ProtocolError, ProtocolRun, TestOutcome};
 use triad_comm::{
-    run_simultaneous, Payload, PayloadRepr, PlayerState, SharedRandomness, SimMessage,
-    SimultaneousProtocol,
+    run_simultaneous, ChaosFailure, FaultPlan, Payload, PayloadRepr, PlayerState, SharedRandomness,
+    SimMessage, SimultaneousProtocol, Tally,
 };
 use triad_graph::partition::Partition;
 use triad_graph::{Graph, Triangle};
@@ -57,7 +59,7 @@ impl SimultaneousProtocol for SendEverything {
     }
 }
 
-impl crate::amplify::Repeatable for SendEverything {
+impl Repeatable for SendEverything {
     fn run_once(
         &self,
         g: &Graph,
@@ -67,57 +69,15 @@ impl crate::amplify::Repeatable for SendEverything {
         run_send_everything(g, partition, seed)
     }
 
-    fn run_prepared(
+    /// One round, no retries: the baseline degrades exactly like the
+    /// §3.4 testers under faults.
+    fn run_repetition(
         &self,
-        input: &crate::amplify::PreparedInput<'_>,
+        input: &PreparedInput<'_>,
         seed: u64,
-    ) -> Result<crate::outcome::TallyRun, ProtocolError> {
-        let run = triad_comm::run_simultaneous_prepared::<_, triad_comm::Tally>(
-            self,
-            input.n(),
-            input.players(),
-            SharedRandomness::new(seed),
-        );
-        Ok(crate::outcome::TallyRun {
-            outcome: TestOutcome::from(run.output),
-            stats: run.stats,
-            transcript: run.transcript,
-        })
-    }
-
-    fn run_chaos(
-        &self,
-        input: &crate::amplify::PreparedInput<'_>,
-        seed: u64,
-        plan: &triad_comm::FaultPlan,
-        rep: u32,
-        _retry_budget: u32,
-    ) -> Result<crate::chaos::ChaosRep, Box<crate::chaos::FailedRep>> {
-        // One round, no retries: the baseline degrades exactly like the
-        // §3.4 testers under faults.
-        match triad_comm::run_simultaneous_chaos::<_, triad_comm::Tally>(
-            self,
-            input.n(),
-            input.players(),
-            SharedRandomness::new(seed),
-            plan,
-            rep,
-        ) {
-            Ok(chaos) => Ok(crate::chaos::ChaosRep {
-                run: crate::outcome::TallyRun {
-                    outcome: TestOutcome::from(chaos.run.output),
-                    stats: chaos.run.stats,
-                    transcript: chaos.run.transcript,
-                },
-                injected: chaos.injected,
-            }),
-            Err(f) => Err(Box::new(crate::chaos::FailedRep {
-                error: f.error,
-                stats: f.stats,
-                transcript: f.transcript,
-                injected: f.injected,
-            })),
-        }
+        faults: Option<(&FaultPlan, u32)>,
+    ) -> Result<ChaosRep, Box<ChaosFailure<Tally>>> {
+        crate::simultaneous::one_round(self, input, seed, faults)
     }
 }
 
@@ -188,7 +148,6 @@ mod tests {
 
     #[test]
     fn representation_never_changes_verdict_or_bits() {
-        use crate::amplify::{PreparedInput, Repeatable};
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let g = gnp(120, 0.3, &mut rng); // dense enough for Auto → bits
         let parts = random_disjoint(&g, 3, &mut rng);
@@ -197,8 +156,9 @@ mod tests {
             .into_iter()
             .map(|repr| {
                 SendEverything::with_repr(repr)
-                    .run_prepared(&input, 11)
+                    .run_repetition(&input, 11, None)
                     .unwrap()
+                    .run
             })
             .collect();
         for run in &runs[1..] {

@@ -115,43 +115,16 @@ impl FailureBreakdown {
     }
 }
 
-/// A repetition that survived its fault plan: the completed run plus
-/// the faults that were injected (and recovered from) along the way.
+/// A repetition that survived its fault plan (or ran without one): the
+/// completed run plus the faults that were injected (and recovered from)
+/// along the way. A repetition killed by an unrecovered fault is a
+/// [`triad_comm::ChaosFailure`] instead, carrying the bits it spent.
 #[derive(Debug, Clone)]
 pub struct ChaosRep {
     /// The completed repetition.
     pub run: TallyRun,
     /// Faults injected during the repetition.
     pub injected: FaultStats,
-}
-
-/// A repetition killed by an unrecovered fault. The bits spent before
-/// (and on) the failure are preserved so amplified accounting stays
-/// honest: failed repetitions still pay.
-#[derive(Debug, Clone)]
-pub struct FailedRep {
-    /// What killed the repetition.
-    pub error: RunError,
-    /// Communication spent before the failure.
-    pub stats: CommStats,
-    /// The cost recorder at the point of failure.
-    pub transcript: Tally,
-    /// Faults injected during the repetition.
-    pub injected: FaultStats,
-}
-
-impl FailedRep {
-    /// A repetition abandoned before any communication — e.g. a
-    /// protocol-level validation failure — wrapped as
-    /// [`RunError::Aborted`].
-    pub fn aborted(reason: String, k: usize) -> Self {
-        FailedRep {
-            error: RunError::Aborted { reason },
-            stats: CommStats::default(),
-            transcript: Tally::with_players(k),
-            injected: FaultStats::default(),
-        }
-    }
 }
 
 /// A completed amplified run under faults: the three-way verdict, the
@@ -204,7 +177,7 @@ impl ChaosRun {
 /// Failed repetitions do not stop the sweep — their cost is merged and
 /// their error kind tallied — so the verdict is computed over exactly
 /// the repetition schedule the fault-free path would have attempted.
-pub fn run_chaos_amplified<T: Repeatable + Sync>(
+pub fn run_chaos_amplified<T: Repeatable + Sync + ?Sized>(
     pool: &Pool,
     tester: &T,
     input: &PreparedInput<'_>,
@@ -216,15 +189,7 @@ pub fn run_chaos_amplified<T: Repeatable + Sync>(
     let reps = repetitions.max(1) as usize;
     let runs = pool.ordered_map_until(
         reps,
-        |r| {
-            tester.run_chaos(
-                input,
-                rep_seed(base_seed, r as u32),
-                plan,
-                r as u32,
-                triad_comm::DEFAULT_RETRY_BUDGET,
-            )
-        },
+        |r| tester.run_repetition(input, rep_seed(base_seed, r as u32), Some((plan, r as u32))),
         |run| matches!(run, Ok(rep) if rep.run.outcome.found_triangle()),
     );
     let needed = ((quorum.clamp(0.0, 1.0) * reps as f64).ceil() as u32).max(1);
@@ -278,34 +243,6 @@ pub fn run_chaos_amplified<T: Repeatable + Sync>(
         failures,
         injected,
     }
-}
-
-/// [`run_chaos_amplified`] with the input prepared here and the current
-/// pool — the convenience entry point mirroring
-/// [`crate::amplify::run_amplified_tally`].
-///
-/// # Errors
-///
-/// Propagates validation errors from [`PreparedInput::new`].
-pub fn run_chaos_amplified_tally<T: Repeatable + Sync>(
-    tester: &T,
-    g: &triad_graph::Graph,
-    partition: &triad_graph::partition::Partition,
-    repetitions: u32,
-    base_seed: u64,
-    plan: &FaultPlan,
-    quorum: f64,
-) -> Result<ChaosRun, crate::outcome::ProtocolError> {
-    let input = PreparedInput::new(g, partition)?;
-    Ok(run_chaos_amplified(
-        &Pool::current(),
-        tester,
-        &input,
-        repetitions,
-        base_seed,
-        plan,
-        quorum,
-    ))
 }
 
 /// The quorum rule of a **single** repetition — what a networked

@@ -61,8 +61,8 @@ pub mod unrestricted;
 
 pub use amplify::{PreparedInput, Repeatable};
 pub use chaos::{
-    run_chaos_amplified, run_chaos_amplified_tally, single_run_verdict, ChaosOutcome, ChaosRep,
-    ChaosRun, FailedRep, FailureBreakdown, DEFAULT_QUORUM,
+    run_chaos_amplified, single_run_verdict, ChaosOutcome, ChaosRep, ChaosRun, FailureBreakdown,
+    DEFAULT_QUORUM,
 };
 pub use config::{Preset, Tuning};
 pub use outcome::{ProtocolError, ProtocolRun, TallyRun, TestOutcome};

@@ -63,8 +63,8 @@ pub struct ProtocolRun<R = Transcript> {
 }
 
 /// A run recorded by the zero-allocation [`Tally`] — what
-/// [`run_prepared`](crate::amplify::Repeatable::run_prepared) and the
-/// amplified fast path return.
+/// [`run_repetition`](crate::amplify::Repeatable::run_repetition) and
+/// the amplified fast path return.
 pub type TallyRun = ProtocolRun<Tally>;
 
 impl<R> ProtocolRun<R> {
@@ -74,21 +74,6 @@ impl<R> ProtocolRun<R> {
             "triangle-found"
         } else {
             "accepted"
-        }
-    }
-}
-
-impl ProtocolRun {
-    /// Down-converts the full event log to a counters-only tally (every
-    /// rollup unchanged) — the compatibility bridge for [`Repeatable`]
-    /// implementations without a native fast path.
-    ///
-    /// [`Repeatable`]: crate::amplify::Repeatable
-    pub fn to_tally(&self) -> TallyRun {
-        TallyRun {
-            outcome: self.outcome,
-            stats: self.stats,
-            transcript: Tally::from_transcript(&self.transcript),
         }
     }
 }

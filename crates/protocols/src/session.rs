@@ -7,7 +7,7 @@
 //! the [`triad_comm::scheduler`], with two guarantees:
 //!
 //! * **Byte-identical results.** Each session's verdict, stats and
-//!   [`Tally`](triad_comm::Tally) are exactly what
+//!   [`Tally`] are exactly what
 //!   [`run_amplified_prepared`](crate::amplify::run_amplified_prepared)
 //!   would return for that session alone, at any worker count. The
 //!   scheduler hands back each session's serial repetition prefix and
@@ -22,12 +22,13 @@
 
 use std::collections::HashMap;
 
-use crate::amplify::{reduce_prefix, rep_seed, PreparedInput, Repeatable};
+use crate::amplify::{fault_free, reduce_prefix, rep_seed, PreparedInput, Repeatable};
 use crate::baseline::SendEverything;
+use crate::chaos::ChaosRep;
 use crate::outcome::{ProtocolError, ProtocolRun, TallyRun};
 use crate::{SimultaneousTester, UnrestrictedTester};
 use triad_comm::scheduler::{run_sessions, SessionHandle, SessionJob};
-use triad_comm::{mix64, Pool};
+use triad_comm::{mix64, ChaosFailure, FaultPlan, Pool, Tally};
 use triad_graph::partition::Partition;
 use triad_graph::Graph;
 
@@ -58,30 +59,16 @@ impl Repeatable for SessionTester {
         }
     }
 
-    fn run_prepared(
+    fn run_repetition(
         &self,
         input: &PreparedInput<'_>,
         seed: u64,
-    ) -> Result<TallyRun, ProtocolError> {
+        faults: Option<(&FaultPlan, u32)>,
+    ) -> Result<ChaosRep, Box<ChaosFailure<Tally>>> {
         match self {
-            SessionTester::Unrestricted(t) => t.run_prepared(input, seed),
-            SessionTester::Simultaneous(t) => t.run_prepared(input, seed),
-            SessionTester::Exact(t) => t.run_prepared(input, seed),
-        }
-    }
-
-    fn run_chaos(
-        &self,
-        input: &PreparedInput<'_>,
-        seed: u64,
-        plan: &triad_comm::FaultPlan,
-        rep: u32,
-        retry_budget: u32,
-    ) -> Result<crate::chaos::ChaosRep, Box<crate::chaos::FailedRep>> {
-        match self {
-            SessionTester::Unrestricted(t) => t.run_chaos(input, seed, plan, rep, retry_budget),
-            SessionTester::Simultaneous(t) => t.run_chaos(input, seed, plan, rep, retry_budget),
-            SessionTester::Exact(t) => t.run_chaos(input, seed, plan, rep, retry_budget),
+            SessionTester::Unrestricted(t) => t.run_repetition(input, seed, faults),
+            SessionTester::Simultaneous(t) => t.run_repetition(input, seed, faults),
+            SessionTester::Exact(t) => t.run_repetition(input, seed, faults),
         }
     }
 }
@@ -154,8 +141,10 @@ impl SessionJob for PreparedSession<'_, '_> {
     }
 
     fn run_rep(&self, rep: usize) -> Self::Item {
-        self.tester
-            .run_prepared(self.input, rep_seed(self.seed, rep as u32))
+        fault_free(
+            self.tester
+                .run_repetition(self.input, rep_seed(self.seed, rep as u32), None),
+        )
     }
 
     fn is_final(&self, item: &Self::Item) -> bool {

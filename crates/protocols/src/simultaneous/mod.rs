@@ -22,12 +22,14 @@ pub use alg_high::AlgHigh;
 pub use alg_low::AlgLow;
 pub use oblivious::Oblivious;
 
-use crate::amplify::PreparedInput;
+use crate::amplify::{PreparedInput, Repeatable};
+use crate::chaos::ChaosRep;
 use crate::config::Tuning;
 use crate::outcome::{ProtocolError, ProtocolRun, TallyRun, TestOutcome};
 use triad_comm::player::players_from_shares;
 use triad_comm::{
-    run_simultaneous_prepared, Payload, PlayerState, Recorder, SharedRandomness, SimMessage,
+    run_simultaneous_chaos, run_simultaneous_prepared, ChaosFailure, FaultPlan, FaultStats,
+    Payload, PlayerState, SharedRandomness, SimMessage, SimultaneousProtocol, Tally,
 };
 use triad_graph::kernels::{bitset, EdgeBitset};
 use triad_graph::partition::Partition;
@@ -136,8 +138,8 @@ impl SimultaneousTester {
     ///
     /// # Errors
     ///
-    /// Returns [`ProtocolError::InvalidInput`] on malformed shares or
-    /// non-positive degree hints.
+    /// Returns [`ProtocolError::InvalidInput`] on malformed shares or a
+    /// degree hint that is not finite and positive.
     pub fn run(
         &self,
         g: &Graph,
@@ -146,137 +148,131 @@ impl SimultaneousTester {
     ) -> Result<ProtocolRun, ProtocolError> {
         let n = g.vertex_count();
         crate::outcome::validate_shares(g, partition)?;
+        let protocol = self.protocol(partition.players())?;
         let players = players_from_shares(n, partition.shares());
-        self.run_with(n, &players, seed)
-    }
-
-    /// Runs one simultaneous round over a [`PreparedInput`], recording
-    /// only a tally — the per-repetition fast path: shares are already
-    /// validated and the player states already built, so a repetition
-    /// re-rolls nothing but the shared randomness.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::InvalidInput`] on non-positive degree
-    /// hints.
-    pub fn run_prepared_tally(
-        &self,
-        input: &PreparedInput<'_>,
-        seed: u64,
-    ) -> Result<TallyRun, ProtocolError> {
-        self.run_with(input.n(), input.players(), seed)
-    }
-
-    /// Runs one simultaneous round under a
-    /// [`FaultPlan`](triad_comm::FaultPlan). One-round protocols cannot
-    /// retry — each player speaks exactly once — so a dropped, crashed,
-    /// or corrupted message kills the repetition (bits preserved);
-    /// duplicate deliveries survive with the extra copy charged under
-    /// [`triad_comm::RETRANSMIT_LABEL`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FailedRep`](crate::chaos::FailedRep) on a fatal fault,
-    /// or — wrapped as `Aborted` — on non-positive degree hints.
-    pub fn run_chaos_tally(
-        &self,
-        input: &PreparedInput<'_>,
-        seed: u64,
-        plan: &triad_comm::FaultPlan,
-        rep: u32,
-    ) -> Result<crate::chaos::ChaosRep, Box<crate::chaos::FailedRep>> {
-        let n = input.n();
-        let players = input.players();
-        let shared = SharedRandomness::new(seed);
-        let result = match self.kind {
-            SimProtocolKind::High { avg_degree } => {
-                if avg_degree <= 0.0 {
-                    return Err(Box::new(crate::chaos::FailedRep::aborted(
-                        "average degree must be positive".into(),
-                        input.k(),
-                    )));
-                }
-                let p = AlgHigh::new(self.tuning, avg_degree);
-                triad_comm::run_simultaneous_chaos::<_, triad_comm::Tally>(
-                    &p, n, players, shared, plan, rep,
-                )
-            }
-            SimProtocolKind::Low { avg_degree } => {
-                if avg_degree <= 0.0 {
-                    return Err(Box::new(crate::chaos::FailedRep::aborted(
-                        "average degree must be positive".into(),
-                        input.k(),
-                    )));
-                }
-                let p = AlgLow::new(self.tuning, avg_degree);
-                triad_comm::run_simultaneous_chaos::<_, triad_comm::Tally>(
-                    &p, n, players, shared, plan, rep,
-                )
-            }
-            SimProtocolKind::Oblivious => {
-                let p = Oblivious::new(self.tuning, players.len());
-                triad_comm::run_simultaneous_chaos::<_, triad_comm::Tally>(
-                    &p, n, players, shared, plan, rep,
-                )
-            }
-        };
-        match result {
-            Ok(chaos) => Ok(crate::chaos::ChaosRep {
-                run: TallyRun {
-                    outcome: TestOutcome::from(chaos.run.output),
-                    stats: chaos.run.stats,
-                    transcript: chaos.run.transcript,
-                },
-                injected: chaos.injected,
-            }),
-            Err(f) => Err(Box::new(crate::chaos::FailedRep {
-                error: f.error,
-                stats: f.stats,
-                transcript: f.transcript,
-                injected: f.injected,
-            })),
-        }
-    }
-
-    /// The dispatch shared by every entry point, generic over the
-    /// recorder.
-    fn run_with<R: Recorder>(
-        &self,
-        n: usize,
-        players: &[PlayerState],
-        seed: u64,
-    ) -> Result<ProtocolRun<R>, ProtocolError> {
-        let shared = SharedRandomness::new(seed);
-        let run = match self.kind {
-            SimProtocolKind::High { avg_degree } => {
-                if avg_degree <= 0.0 {
-                    return Err(ProtocolError::InvalidInput(
-                        "average degree must be positive".into(),
-                    ));
-                }
-                let p = AlgHigh::new(self.tuning, avg_degree);
-                run_simultaneous_prepared(&p, n, players, shared)
-            }
-            SimProtocolKind::Low { avg_degree } => {
-                if avg_degree <= 0.0 {
-                    return Err(ProtocolError::InvalidInput(
-                        "average degree must be positive".into(),
-                    ));
-                }
-                let p = AlgLow::new(self.tuning, avg_degree);
-                run_simultaneous_prepared(&p, n, players, shared)
-            }
-            SimProtocolKind::Oblivious => {
-                let p = Oblivious::new(self.tuning, players.len());
-                run_simultaneous_prepared(&p, n, players, shared)
-            }
-        };
+        let run = run_simultaneous_prepared(&protocol, n, &players, SharedRandomness::new(seed));
         Ok(ProtocolRun {
             outcome: TestOutcome::from(run.output),
             stats: run.stats,
             transcript: run.transcript,
         })
     }
+
+    /// The protocol this tester's kind selects for `k` players — the one
+    /// place a degree hint is checked.
+    fn protocol(&self, k: usize) -> Result<Chosen, ProtocolError> {
+        let degree = |avg_degree: f64| {
+            if avg_degree.is_finite() && avg_degree > 0.0 {
+                Ok(avg_degree)
+            } else {
+                Err(ProtocolError::InvalidInput(
+                    "average degree must be finite and positive".into(),
+                ))
+            }
+        };
+        Ok(match self.kind {
+            SimProtocolKind::High { avg_degree } => {
+                Chosen::High(AlgHigh::new(self.tuning, degree(avg_degree)?))
+            }
+            SimProtocolKind::Low { avg_degree } => {
+                Chosen::Low(AlgLow::new(self.tuning, degree(avg_degree)?))
+            }
+            SimProtocolKind::Oblivious => Chosen::Oblivious(Oblivious::new(self.tuning, k)),
+        })
+    }
+}
+
+impl Repeatable for SimultaneousTester {
+    fn run_once(
+        &self,
+        g: &Graph,
+        partition: &Partition,
+        seed: u64,
+    ) -> Result<ProtocolRun, ProtocolError> {
+        self.run(g, partition, seed)
+    }
+
+    fn run_repetition(
+        &self,
+        input: &PreparedInput<'_>,
+        seed: u64,
+        faults: Option<(&FaultPlan, u32)>,
+    ) -> Result<ChaosRep, Box<ChaosFailure<Tally>>> {
+        match self.protocol(input.k()) {
+            Ok(protocol) => one_round(&protocol, input, seed, faults),
+            Err(ProtocolError::InvalidInput(reason)) => {
+                Err(Box::new(ChaosFailure::aborted(reason, input.k())))
+            }
+        }
+    }
+}
+
+/// The §3.4 protocol a [`SimProtocolKind`] selects, degree-checked and
+/// built.
+enum Chosen {
+    High(AlgHigh),
+    Low(AlgLow),
+    Oblivious(Oblivious),
+}
+
+impl SimultaneousProtocol for Chosen {
+    type Output = Option<Triangle>;
+
+    fn message<'a>(&self, player: &'a PlayerState, shared: &SharedRandomness) -> SimMessage<'a> {
+        match self {
+            Chosen::High(p) => p.message(player, shared),
+            Chosen::Low(p) => p.message(player, shared),
+            Chosen::Oblivious(p) => p.message(player, shared),
+        }
+    }
+
+    fn referee(
+        &self,
+        n: usize,
+        messages: &[SimMessage],
+        shared: &SharedRandomness,
+    ) -> Option<Triangle> {
+        match self {
+            Chosen::High(p) => p.referee(n, messages, shared),
+            Chosen::Low(p) => p.referee(n, messages, shared),
+            Chosen::Oblivious(p) => p.referee(n, messages, shared),
+        }
+    }
+}
+
+/// One repetition of a one-round protocol over a prepared input —
+/// shared by every simultaneous tester and the exact baseline. Under a
+/// plan, one-round protocols cannot retry (each player speaks exactly
+/// once), so a dropped, crashed or corrupted message kills the
+/// repetition with its bits preserved; duplicate deliveries survive
+/// with the extra copy charged under [`triad_comm::RETRANSMIT_LABEL`].
+pub(crate) fn one_round<P: SimultaneousProtocol<Output = Option<Triangle>>>(
+    protocol: &P,
+    input: &PreparedInput<'_>,
+    seed: u64,
+    faults: Option<(&FaultPlan, u32)>,
+) -> Result<ChaosRep, Box<ChaosFailure<Tally>>> {
+    let shared = SharedRandomness::new(seed);
+    let (run, injected) = match faults {
+        None => (
+            run_simultaneous_prepared::<_, Tally>(protocol, input.n(), input.players(), shared),
+            FaultStats::default(),
+        ),
+        Some((plan, rep)) => {
+            let chaos =
+                run_simultaneous_chaos(protocol, input.n(), input.players(), shared, plan, rep)
+                    .map_err(Box::new)?;
+            (chaos.run, chaos.injected)
+        }
+    };
+    Ok(ChaosRep {
+        run: TallyRun {
+            outcome: TestOutcome::from(run.output),
+            stats: run.stats,
+            transcript: run.transcript,
+        },
+        injected,
+    })
 }
 
 #[cfg(test)]
@@ -356,11 +352,42 @@ mod tests {
             triad_graph::VertexId(0),
             triad_graph::VertexId(1),
         )]]);
-        let bad = SimultaneousTester::new(
-            Tuning::practical(0.2),
-            SimProtocolKind::High { avg_degree: 0.0 },
-        );
-        assert!(bad.run(&g, &ok_parts, 0).is_err());
+        let input = PreparedInput::new(&g, &ok_parts).unwrap();
+        let plan = triad_comm::FaultPlan::fault_free(0);
+        for d in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for kind in [
+                SimProtocolKind::High { avg_degree: d },
+                SimProtocolKind::Low { avg_degree: d },
+            ] {
+                let bad = SimultaneousTester::new(Tuning::practical(0.2), kind);
+                assert!(
+                    matches!(
+                        bad.run(&g, &ok_parts, 0),
+                        Err(ProtocolError::InvalidInput(_))
+                    ),
+                    "{kind:?}"
+                );
+                // Fault-free sweeps see the same typed rejection…
+                let swept = crate::amplify::run_amplified_prepared(
+                    &triad_comm::Pool::serial(),
+                    &bad,
+                    &input,
+                    2,
+                    0,
+                );
+                assert!(
+                    matches!(swept, Err(ProtocolError::InvalidInput(_))),
+                    "{kind:?}"
+                );
+                // …and chaos repetitions abort before anything is sent.
+                let fail = bad.run_repetition(&input, 0, Some((&plan, 0))).unwrap_err();
+                assert!(
+                    matches!(fail.error, triad_comm::RunError::Aborted { .. }),
+                    "{kind:?}"
+                );
+                assert_eq!(fail.stats.total_bits, 0);
+            }
+        }
     }
 
     #[test]

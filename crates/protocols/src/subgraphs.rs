@@ -120,7 +120,7 @@ pub struct HFreenessRun {
 /// # Errors
 ///
 /// Returns [`ProtocolError::InvalidInput`] on malformed shares or a
-/// non-positive degree hint.
+/// degree hint that is not finite and positive.
 pub fn run_h_freeness(
     tuning: Tuning,
     pattern: Pattern,
@@ -129,9 +129,9 @@ pub fn run_h_freeness(
     avg_degree: f64,
     seed: u64,
 ) -> Result<HFreenessRun, ProtocolError> {
-    if avg_degree <= 0.0 {
+    if !(avg_degree.is_finite() && avg_degree > 0.0) {
         return Err(ProtocolError::InvalidInput(
-            "average degree must be positive".into(),
+            "average degree must be finite and positive".into(),
         ));
     }
     let n = g.vertex_count();
@@ -266,14 +266,19 @@ mod tests {
     fn rejects_bad_degree() {
         let g = Graph::from_edges(4, [(0, 1)]);
         let parts = Partition::new(vec![g.edges().to_vec()]);
-        assert!(run_h_freeness(
-            Tuning::practical(0.2),
-            Pattern::triangle(),
-            &g,
-            &parts,
-            0.0,
-            0
-        )
-        .is_err());
+        for d in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                run_h_freeness(
+                    Tuning::practical(0.2),
+                    Pattern::triangle(),
+                    &g,
+                    &parts,
+                    d,
+                    0
+                )
+                .is_err(),
+                "d = {d}"
+            );
+        }
     }
 }

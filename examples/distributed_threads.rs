@@ -2,7 +2,7 @@
 //!
 //! Every protocol in `triad` draws its randomness from the shared public
 //! string and none from scheduling, so running the players as real OS
-//! threads (crossbeam channels to the coordinator) produces a transcript
+//! threads (`std::sync::mpsc` channels to the coordinator) produces a transcript
 //! bit-for-bit identical to the sequential reference runtime. This
 //! example proves it on the unrestricted tester.
 //!

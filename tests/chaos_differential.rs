@@ -79,7 +79,7 @@ fn assert_transparent(label: &str, reference: &TallyRun, chaos: &ChaosRun, threa
 }
 
 /// Runs one tester fault-free both ways at several thread counts.
-fn check_transparency<T: Repeatable + Sync>(
+fn check_transparency<T: Repeatable + Sync + ?Sized>(
     label: &str,
     tester: &T,
     g: &Graph,
@@ -116,7 +116,7 @@ struct OmissionCase {
 
 /// Runs one tester under omission faults and checks the verdict can
 /// degrade only to `Inconclusive`, never flip.
-fn check_omission_degradation<T: Repeatable + Sync>(
+fn check_omission_degradation<T: Repeatable + Sync + ?Sized>(
     label: &str,
     tester: &T,
     g: &Graph,
@@ -202,7 +202,7 @@ proptest! {
         let (g, parts) = workload(80, k, graph_seed);
         let d = g.average_degree().max(0.1);
         with_protocol(idx, d, PayloadRepr::Auto, |label, tester| {
-            check_transparency(label, &tester, &g, &parts, 3, seed);
+            check_transparency(label, tester, &g, &parts, 3, seed);
         });
     }
 
@@ -225,7 +225,7 @@ proptest! {
         with_protocol(idx, d, repr, |label, tester| {
             check_omission_degradation(
                 label,
-                &tester,
+                tester,
                 &g,
                 &parts,
                 &OmissionCase {
@@ -249,7 +249,7 @@ fn every_protocol_is_chaos_transparent_at_pinned_seed() {
     for idx in 0..5 {
         for repr in [PayloadRepr::Edges, PayloadRepr::Bits] {
             with_protocol(idx, d, repr, |label, tester| {
-                check_transparency(label, &tester, &g, &parts, 4, 42);
+                check_transparency(label, tester, &g, &parts, 4, 42);
             });
         }
     }
@@ -270,7 +270,7 @@ fn omission_sweep_never_flips_at_pinned_seed() {
                     rate,
                     fault_seed: 7,
                 };
-                check_omission_degradation(label, &tester, &g, &parts, &case);
+                check_omission_degradation(label, tester, &g, &parts, &case);
             });
         }
     }
@@ -292,7 +292,7 @@ fn bitset_frame_corruption_is_typed_and_never_flips() {
     let seed = 42u64;
     for repr in [PayloadRepr::Bits, PayloadRepr::Auto] {
         with_protocol(0, d, repr, |label, tester| {
-            let plain = run_amplified_prepared(&Pool::serial(), &tester, &input, 4, seed)
+            let plain = run_amplified_prepared(&Pool::serial(), tester, &input, 4, seed)
                 .unwrap_or_else(|e| panic!("{label}: plain run failed: {e}"));
             for rate in [0.3, 1.0] {
                 let plan = FaultPlan::new(
@@ -304,7 +304,7 @@ fn bitset_frame_corruption_is_typed_and_never_flips() {
                 );
                 let chaos = run_chaos_amplified(
                     &Pool::serial(),
-                    &tester,
+                    tester,
                     &input,
                     4,
                     seed,

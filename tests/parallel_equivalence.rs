@@ -116,7 +116,7 @@ fn amplified_cost_reports_are_byte_identical_across_thread_counts() {
                 for threads in [1usize, 2, 8] {
                     let run = run_amplified_with(
                         &Pool::new(threads),
-                        &tester,
+                        tester,
                         &w.graph,
                         &w.partition,
                         REPS,

@@ -191,10 +191,10 @@ fn local_runs_are_bit_identical_across_representations() {
                         let tester: &(dyn Repeatable + Sync) = tester.as_ref();
                         let label = format!("{}/{name}/k={k}/seed={seed}/{repr}", density.label);
                         let want =
-                            run_amplified_prepared(&Pool::serial(), &reference, &input, REPS, seed)
+                            run_amplified_prepared(&Pool::serial(), reference, &input, REPS, seed)
                                 .unwrap_or_else(|e| panic!("{label}: reference failed: {e}"));
                         let got =
-                            run_amplified_prepared(&Pool::serial(), &tester, &input, REPS, seed)
+                            run_amplified_prepared(&Pool::serial(), tester, &input, REPS, seed)
                                 .unwrap_or_else(|e| panic!("{label}: run failed: {e}"));
                         assert_runs_equal(&label, &got, &want);
                     }
@@ -224,12 +224,12 @@ fn threaded_pools_preserve_representation_independence() {
             {
                 let reference: &(dyn Repeatable + Sync) = reference.as_ref();
                 let tester: &(dyn Repeatable + Sync) = tester.as_ref();
-                let want = run_amplified_prepared(&Pool::serial(), &reference, &input, REPS, seed)
+                let want = run_amplified_prepared(&Pool::serial(), reference, &input, REPS, seed)
                     .unwrap_or_else(|e| panic!("{name}: reference failed: {e}"));
                 for threads in [2usize, 4] {
                     let label = format!("{}/{name}/{repr}@{threads}", density.label);
                     let got =
-                        run_amplified_prepared(&Pool::new(threads), &tester, &input, REPS, seed)
+                        run_amplified_prepared(&Pool::new(threads), tester, &input, REPS, seed)
                             .unwrap_or_else(|e| panic!("{label}: run failed: {e}"));
                     assert_runs_equal(&label, &got, &want);
                 }
@@ -307,7 +307,7 @@ fn fault_injection_is_bit_identical_across_representations() {
                     let label = format!("{}/{name}/{plan_name}/{repr}", density.label);
                     let want = run_chaos_amplified(
                         &Pool::serial(),
-                        &reference,
+                        reference,
                         &input,
                         4,
                         seed,
@@ -316,7 +316,7 @@ fn fault_injection_is_bit_identical_across_representations() {
                     );
                     let got = run_chaos_amplified(
                         &Pool::serial(),
-                        &tester,
+                        tester,
                         &input,
                         4,
                         seed,

@@ -122,9 +122,9 @@ fn protocol_matrix_over(tag: &str, stream: &dyn triad::graph::store::EdgeStream,
                 let pool = Pool::new(threads);
                 let label = format!("{tag}/{name}/seed{seed}/t{threads}");
                 let reference =
-                    run_amplified_prepared(&pool, &&**tester, &in_memory, REPS, seed).unwrap();
+                    run_amplified_prepared(&pool, &**tester, &in_memory, REPS, seed).unwrap();
                 let over_store =
-                    run_amplified_prepared(&pool, &&**tester, &graph_free, REPS, seed).unwrap();
+                    run_amplified_prepared(&pool, &**tester, &graph_free, REPS, seed).unwrap();
                 assert_runs_identical(&label, &reference, &over_store);
             }
         }

@@ -34,7 +34,7 @@ use triad::graph::{Edge, Graph};
 use triad::protocols::amplify::PreparedInput;
 use triad::protocols::baseline::SendEverything;
 use triad::protocols::simultaneous::{AlgHigh, AlgLow, Oblivious};
-use triad::protocols::{single_run_verdict, ChaosOutcome, Tuning, UnrestrictedTester};
+use triad::protocols::{single_run_verdict, ChaosOutcome, Repeatable, Tuning, UnrestrictedTester};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -176,7 +176,7 @@ fn unrestricted_over_tcp_matches_local_bit_for_bit() {
     let input = PreparedInput::new(&g, &parts).unwrap();
     let tester = UnrestrictedTester::new(Tuning::practical(0.2));
     for seed in [3u64, 11] {
-        let reference = tester.run_prepared_tally(&input, seed);
+        let reference = tester.run_repetition(&input, seed, None).unwrap().run;
         let shares = Arc::new(parts.shares().to_vec());
         let cfg = config("unrestricted", 3, g.vertex_count(), seed, 0.2, 6.0);
         let (transport, players) = loopback_transport(&cfg, shares, None);
@@ -373,7 +373,7 @@ fn rejoin_within_window_is_bit_identical_to_uninterrupted() {
     let input = PreparedInput::new(&g, &parts).unwrap();
     let tester = UnrestrictedTester::new(Tuning::practical(0.2));
     let seed = 11u64;
-    let reference = tester.run_prepared_tally(&input, seed);
+    let reference = tester.run_repetition(&input, seed, None).unwrap().run;
     let shares = Arc::new(parts.shares().to_vec());
     let cfg = config("unrestricted", 3, g.vertex_count(), seed, 0.2, 6.0);
     let coordinator = TcpCoordinator::bind("127.0.0.1:0").expect("bind loopback");
@@ -456,7 +456,7 @@ fn window_expiry_degrades_to_inconclusive_and_later_runs_recover() {
     let input = PreparedInput::new(&g, &parts).unwrap();
     let tester = UnrestrictedTester::new(Tuning::practical(0.2));
     let (seed0, seed1) = (4u64, 5u64);
-    let reference1 = tester.run_prepared_tally(&input, seed1);
+    let reference1 = tester.run_repetition(&input, seed1, None).unwrap().run;
     let shares = Arc::new(parts.shares().to_vec());
     let cfg = config("unrestricted", 3, g.vertex_count(), seed0, 0.2, 2.0);
     let coordinator = TcpCoordinator::bind("127.0.0.1:0").expect("bind loopback");
@@ -570,7 +570,7 @@ fn faulty_tcp_transport_matches_faulty_local_rep_by_rep() {
     let budget = 2;
     for rep in 0..4u32 {
         let seed = 100 + u64::from(rep);
-        let reference = tester.run_chaos_tally(&input, seed, &plan, rep, budget);
+        let reference = tester.run_repetition(&input, seed, Some((&plan, rep)));
         let shares = Arc::new(parts.shares().to_vec());
         let cfg = config("unrestricted", 3, g.vertex_count(), seed, 0.2, 6.0);
         let (transport, players) = loopback_transport(&cfg, shares, None);
