@@ -23,6 +23,7 @@ use crate::rand::{mix64, SharedRandomness};
 use crate::runtime::{CostModel, TcpTransport};
 use crate::simultaneous::SimMessage;
 use crate::wire::{self, ErrorCode, ResumeClaim, Welcome, WireError, WireMessage};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -966,6 +967,11 @@ impl PlayerSession {
     /// `progress` survives the call so a rejoin resumes counting where
     /// the dead connection stopped.
     ///
+    /// Requests are answered in arrival order, but the answers are held
+    /// until everything already read has been answered: a flight the
+    /// coordinator wrote ahead in one write is answered in one write.
+    /// An `Ack` goes out at once.
+    ///
     /// [`serve_until`]: Self::serve_until
     fn serve_core<F>(
         &mut self,
@@ -977,25 +983,32 @@ impl PlayerSession {
     where
         F: FnMut(&PlayerState, &SharedRandomness) -> SimMessage<'static>,
     {
+        let mut reader = BufReader::new(&self.stream);
+        let mut held = Vec::new();
+        let send = |held: &mut Vec<u8>| {
+            let sent = (&self.stream).write_all(held);
+            held.clear();
+            sent.map_err(NetError::Io)
+        };
         loop {
-            match wire::read_frame(&mut self.stream)? {
+            let reply = match wire::read_frame(&mut reader)? {
                 WireMessage::Request { id, req } => {
                     let payload = state.handle(&req, &progress.shared);
-                    wire::write_frame(&mut self.stream, &WireMessage::Response { id, payload })
-                        .map_err(NetError::Io)?;
                     progress.requests += 1;
                     progress.last_acked = id;
+                    WireMessage::Response { id, payload }
                 }
                 WireMessage::SimRequest { id } => {
                     let message = sim(state, &progress.shared);
-                    wire::write_frame(&mut self.stream, &WireMessage::SimResponse { id, message })
-                        .map_err(NetError::Io)?;
                     progress.requests += 1;
                     progress.last_acked = id;
+                    WireMessage::SimResponse { id, message }
                 }
                 WireMessage::AdoptShared { seed } => {
                     progress.shared = SharedRandomness::new(seed);
-                    wire::write_frame(&mut self.stream, &WireMessage::Ack).map_err(NetError::Io)?;
+                    wire::write_frame(&mut held, &WireMessage::Ack).map_err(NetError::Io)?;
+                    send(&mut held)?;
+                    continue;
                 }
                 WireMessage::Goodbye { summary } => return Ok(Some(summary)),
                 WireMessage::Error { code, reason } => return Err(rejection(code, reason)),
@@ -1005,11 +1018,14 @@ impl PlayerSession {
                         other.kind()
                     )))
                 }
+            };
+            wire::write_frame(&mut held, &reply).map_err(NetError::Io)?;
+            if limit.is_some_and(|max| progress.requests >= max) {
+                send(&mut held)?;
+                return Ok(None);
             }
-            if let Some(max) = limit {
-                if progress.requests >= max {
-                    return Ok(None);
-                }
+            if reader.buffer().is_empty() {
+                send(&mut held)?;
             }
         }
     }
@@ -1881,5 +1897,83 @@ mod tests {
         let summary = player.join().unwrap();
         assert_eq!(summary.farewell.as_deref(), Some("accepted"));
         assert_eq!(summary.rejoins, 1);
+    }
+
+    #[test]
+    fn a_flight_in_one_write_is_answered_in_id_order_and_acks_go_out_at_once() {
+        // A raw coordinator: the player must answer a flight of requests
+        // written in one write with the responses in id order, and must
+        // send an Ack at once even while a partial frame sits unread
+        // behind the AdoptShared.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let share = vec![e(0, 1), e(1, 2)];
+        let player_share = share.clone();
+        let player = std::thread::spawn(move || {
+            let session = PlayerSession::connect(addr, None, Duration::from_secs(10)).unwrap();
+            let state = PlayerState::new(0, 4, &player_share);
+            session.serve(&state, |_, _| SimMessage::empty()).unwrap()
+        });
+        let (mut s, _) = listener.accept().unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        assert!(matches!(
+            wire::read_frame(&mut s).unwrap(),
+            WireMessage::Hello { .. }
+        ));
+        wire::write_frame(&mut s, &WireMessage::Welcome(cfg(1).welcome_for(0, 0))).unwrap();
+
+        let reqs: Vec<PlayerRequest> = (1..=32u64)
+            .map(|tag| PlayerRequest::SampleHit {
+                v: VertexId(1),
+                tag,
+                p: 0.5,
+            })
+            .collect();
+        let mut flight = Vec::new();
+        for (id, req) in (100u64..).zip(&reqs) {
+            let msg = WireMessage::Request {
+                id,
+                req: req.clone(),
+            };
+            wire::write_frame(&mut flight, &msg).unwrap();
+        }
+        s.write_all(&flight).unwrap();
+        let state = PlayerState::new(0, 4, &share);
+        let shared = SharedRandomness::new(cfg(1).seed);
+        for (want, req) in (100u64..).zip(&reqs) {
+            match wire::read_frame(&mut s).unwrap() {
+                WireMessage::Response { id, payload } => {
+                    assert_eq!(id, want);
+                    assert_eq!(payload, state.handle(req, &shared));
+                }
+                other => panic!("expected a response, got {other:?}"),
+            }
+        }
+
+        let mut next = Vec::new();
+        let msg = WireMessage::Request {
+            id: 200,
+            req: PlayerRequest::LocalEdgeCount,
+        };
+        wire::write_frame(&mut next, &msg).unwrap();
+        let mut reseed = Vec::new();
+        wire::write_frame(&mut reseed, &WireMessage::AdoptShared { seed: 9 }).unwrap();
+        reseed.extend_from_slice(&next[..5]);
+        s.write_all(&reseed).unwrap();
+        assert_eq!(wire::read_frame(&mut s).unwrap(), WireMessage::Ack);
+        s.write_all(&next[5..]).unwrap();
+        assert_eq!(
+            wire::read_frame(&mut s).unwrap(),
+            WireMessage::Response {
+                id: 200,
+                payload: Payload::Count(2)
+            }
+        );
+        let bye = WireMessage::Goodbye {
+            summary: "done".into(),
+        };
+        wire::write_frame(&mut s, &bye).unwrap();
+        let summary = player.join().unwrap();
+        assert_eq!(summary.requests, 33);
     }
 }

@@ -263,6 +263,13 @@ pub trait Transport: Send {
     fn adopt_shared(&mut self, _shared: SharedRandomness) {
         panic!("this transport does not support switching shared randomness");
     }
+    /// Hint: `reqs` are the next requests `player` will be sent, in
+    /// order, one delivery each. A networked transport may put them on
+    /// the wire ahead, so their answers stream back without one round
+    /// trip each. The hint never changes what a delivery returns, and a
+    /// delivery of any other request drops it. Default: ignored, as
+    /// in-process transports do.
+    fn pipeline(&mut self, _player: usize, _reqs: &[PlayerRequest]) {}
 }
 
 /// A protocol execution context: transport + recorder + shared
@@ -751,6 +758,22 @@ impl<R: Recorder> Runtime<R> {
         }
     }
 
+    /// Broadcasts each of `reqs` in order, for a batch in which no
+    /// request depends on another's answers. Every player first gets the
+    /// whole batch as a [`Transport::pipeline`] hint; then each request
+    /// goes through [`broadcast`](Self::broadcast). Charges, retries,
+    /// poisoning and recorded events are therefore exactly those of
+    /// consecutive broadcasts: after a fault, the rest of the batch
+    /// degrades to `k` empty payloads each and charges nothing.
+    pub fn broadcast_all(&mut self, reqs: &[PlayerRequest]) -> Vec<Vec<Payload<'static>>> {
+        if self.fault.is_none() {
+            for j in 0..self.k() {
+                self.transport.pipeline(j, reqs);
+            }
+        }
+        reqs.iter().map(|req| self.broadcast(req.clone())).collect()
+    }
+
     /// Broadcasts an edge-producing request and returns the deduplicated
     /// union of all players' edges.
     ///
@@ -905,6 +928,74 @@ mod tests {
             coord.stats().total_bits - board.stats().total_bits,
             req_bits, // k=2: one extra request copy
         );
+    }
+
+    /// A batch shaped like one guess of the degree experiments.
+    pub(super) fn experiments(m: u64) -> Vec<PlayerRequest> {
+        (1..=m)
+            .map(|tag| PlayerRequest::SampleHit {
+                v: VertexId(1),
+                tag,
+                p: 0.5,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn broadcast_all_records_the_events_of_consecutive_broadcasts() {
+        let shared = SharedRandomness::new(13);
+        let reqs = experiments(6);
+        for model in [
+            CostModel::Coordinator,
+            CostModel::Blackboard,
+            CostModel::MessagePassing,
+        ] {
+            let mut batched = Runtime::local(4, &shares(), shared, model);
+            let mut serial = Runtime::local(4, &shares(), shared, model);
+            let answers = batched.broadcast_all(&reqs);
+            let expected: Vec<_> = reqs.iter().map(|r| serial.broadcast(r.clone())).collect();
+            assert_eq!(answers, expected, "{model:?}");
+            assert_eq!(
+                batched.transcript().events(),
+                serial.transcript().events(),
+                "{model:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn broadcast_all_poisoned_tail_degrades_like_consecutive_broadcasts() {
+        use crate::fault::{FaultPlan, FaultRates, FaultyTransport};
+        let shared = SharedRandomness::new(13);
+        let reqs = experiments(8);
+        let rates = FaultRates {
+            crash: 0.1,
+            ..FaultRates::default()
+        };
+        let faulty = |seed| -> Runtime {
+            let plan = FaultPlan::new(seed, rates);
+            let inner = LocalTransport::new(4, &shares(), shared);
+            let transport = FaultyTransport::new(inner, plan, 0);
+            Runtime::new(Box::new(transport), 4, shared, CostModel::Coordinator)
+        };
+        let empty = vec![Payload::Empty; 2];
+        // Walk the plans until one crashes a player mid-batch: the first
+        // request answered, the tail degraded.
+        let mid_batch = (0..500u64).find(|&seed| {
+            let mut batched = faulty(seed);
+            let mut serial = faulty(seed);
+            let answers = batched.broadcast_all(&reqs);
+            let expected: Vec<_> = reqs.iter().map(|r| serial.broadcast(r.clone())).collect();
+            assert_eq!(answers, expected, "plan {seed}");
+            assert_eq!(
+                batched.transcript().events(),
+                serial.transcript().events(),
+                "plan {seed}"
+            );
+            assert_eq!(batched.fault(), serial.fault(), "plan {seed}");
+            batched.fault().is_some() && answers[0] != empty && answers[7] == empty
+        });
+        assert!(mid_batch.is_some(), "no plan crashed a player mid-batch");
     }
 
     #[test]

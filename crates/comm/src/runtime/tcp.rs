@@ -11,6 +11,11 @@
 //! desynchronizing the stream, which is what makes the runtime's
 //! bounded-retry loop sound over TCP.
 //!
+//! A [`Transport::pipeline`] hint becomes a **flight**: the hinted
+//! requests are written ahead in one write per player, and each later
+//! delivery of the flight's head takes the answer already on its way.
+//! A flight longer than [`FLIGHT_BYTES`] goes out in chunks.
+//!
 //! Cost accounting is **unchanged** by this transport: the recorder
 //! charges model bit costs (`bit_len`), never wire bytes, so a
 //! fault-free TCP run produces accounting byte-identical to
@@ -24,6 +29,8 @@ use crate::request::PlayerRequest;
 use crate::runtime::{RunError, Transport, TransportError};
 use crate::simultaneous::SimMessage;
 use crate::wire::{self, WireError, WireMessage};
+use std::collections::VecDeque;
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -32,6 +39,13 @@ use std::time::{Duration, Instant};
 /// remote player may legitimately scan a large share; operators tune it
 /// with `--timeout-secs`.
 pub const DEFAULT_NET_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The most bytes of `Request` frames a flight puts on one connection
+/// at a time. The next chunk is written only once every answer to the
+/// last has been read, so what is in flight stays far below a default
+/// socket buffer and coordinator and player never both block in
+/// `write`.
+const FLIGHT_BYTES: usize = 8 * 1024;
 
 /// Maps a wire-level failure on `player`'s connection onto the typed
 /// [`RunError`] taxonomy (normative table in `docs/NETWORKING.md`):
@@ -109,6 +123,7 @@ fn map_wire(player: usize, e: WireError) -> RunError {
 /// ```
 pub struct TcpTransport {
     conns: Vec<PlayerConn>,
+    flights: Vec<Flight>,
     next_id: u64,
     timeout: Duration,
     pending_fault: Option<RunError>,
@@ -122,8 +137,9 @@ pub struct TcpTransport {
 /// [`SessionHost`] (no reconnect window), slots never detach: the first
 /// failure surfaces directly, exactly the pre-session behavior.
 enum PlayerConn {
-    /// A live connection.
-    Active(TcpStream),
+    /// A live connection, read through a buffer so a flight's answers
+    /// cost one read between them rather than three per frame.
+    Active(BufReader<TcpStream>),
     /// The connection died at `since`; `cause` is the failure that
     /// detached it. Deliveries poll for a rejoin until
     /// `since + window`, after which the run degrades with a typed
@@ -135,6 +151,15 @@ impl PlayerConn {
     fn is_active(&self) -> bool {
         matches!(self, PlayerConn::Active(_))
     }
+}
+
+/// One slot's pipelined requests, in delivery order.
+#[derive(Default)]
+struct Flight {
+    /// Written ahead, answers not yet read: (correlation id, request).
+    written: VecDeque<(u64, PlayerRequest)>,
+    /// Not yet written: the part of the flight past the current chunk.
+    queued: VecDeque<PlayerRequest>,
 }
 
 impl std::fmt::Debug for TcpTransport {
@@ -171,7 +196,11 @@ impl TcpTransport {
 
     fn build(conns: Vec<TcpStream>, timeout: Duration, session: Option<Arc<SessionHost>>) -> Self {
         let mut t = TcpTransport {
-            conns: conns.into_iter().map(PlayerConn::Active).collect(),
+            flights: conns.iter().map(|_| Flight::default()).collect(),
+            conns: conns
+                .into_iter()
+                .map(|c| PlayerConn::Active(BufReader::new(c)))
+                .collect(),
             next_id: 0,
             timeout,
             pending_fault: None,
@@ -186,7 +215,7 @@ impl TcpTransport {
             // A connection that cannot even accept a deadline is as good
             // as dead; the next delivery on it will surface the error.
             if let PlayerConn::Active(stream) = conn {
-                let _ = stream.set_read_timeout(Some(self.timeout));
+                let _ = stream.get_ref().set_read_timeout(Some(self.timeout));
             }
         }
     }
@@ -201,8 +230,9 @@ impl TcpTransport {
     }
 
     /// Marks `player`'s slot detached as of now, recording the failure
-    /// that killed the connection.
+    /// that killed the connection. Its flight dies with the connection.
     fn detach(&mut self, player: usize, cause: RunError) {
+        self.flights[player] = Flight::default();
         self.conns[player] = PlayerConn::Detached {
             since: Instant::now(),
             cause,
@@ -239,7 +269,7 @@ impl TcpTransport {
             if let Some((slot, stream)) = session.poll_claimants(&detached, &expired, self.timeout)
             {
                 let _ = stream.set_read_timeout(Some(self.timeout));
-                self.conns[slot] = PlayerConn::Active(stream);
+                self.conns[slot] = PlayerConn::Active(BufReader::new(stream));
                 if slot == player {
                     // One final drain so claimants racing this rejoin
                     // (the duplicate-claim race) get their typed
@@ -283,7 +313,7 @@ impl TcpTransport {
             match session.poll_claimants(&detached, &expired, self.timeout) {
                 Some((slot, stream)) => {
                     let _ = stream.set_read_timeout(Some(self.timeout));
-                    self.conns[slot] = PlayerConn::Active(stream);
+                    self.conns[slot] = PlayerConn::Active(BufReader::new(stream));
                 }
                 None => return,
             }
@@ -293,7 +323,7 @@ impl TcpTransport {
     /// The live stream for `player`; typed failure if the slot is
     /// detached (callers go through [`ensure_active`](Self::ensure_active)
     /// first).
-    fn active(&mut self, player: usize) -> Result<&mut TcpStream, RunError> {
+    fn active(&mut self, player: usize) -> Result<&mut BufReader<TcpStream>, RunError> {
         match &mut self.conns[player] {
             PlayerConn::Active(stream) => Ok(stream),
             PlayerConn::Detached { .. } => Err(RunError::Transport(TransportError { player })),
@@ -325,6 +355,62 @@ impl TcpTransport {
         self.next_id
     }
 
+    /// Writes the next chunk of `player`'s queued flight — at least one
+    /// frame, at most [`FLIGHT_BYTES`] unless one frame alone is larger —
+    /// in one write.
+    fn write_ahead(&mut self, player: usize) -> Result<(), RunError> {
+        let flight = &mut self.flights[player];
+        let mut chunk = Vec::new();
+        while let Some(req) = flight.queued.pop_front() {
+            let id = self.next_id + 1;
+            let start = chunk.len();
+            let msg = WireMessage::Request {
+                id,
+                req: req.clone(),
+            };
+            wire::write_frame(&mut chunk, &msg).expect("writing to a Vec cannot fail");
+            if start > 0 && chunk.len() > FLIGHT_BYTES {
+                chunk.truncate(start);
+                flight.queued.push_front(req);
+                break;
+            }
+            self.next_id = id;
+            flight.written.push_back((id, req));
+        }
+        self.active(player)?
+            .get_mut()
+            .write_all(&chunk)
+            .map_err(|_| RunError::Transport(TransportError { player }))
+    }
+
+    /// Puts `req` on `player`'s wire and returns its correlation id.
+    /// When `req` heads the slot's flight, it is already written (or
+    /// goes out now with the next chunk) under its flight id. Any other
+    /// request drops the flight and is written alone under a fresh id;
+    /// the answers to what was written ahead then arrive with smaller
+    /// ids and are discarded as stale.
+    fn send(&mut self, player: usize, req: &PlayerRequest) -> Result<u64, RunError> {
+        let flight = &self.flights[player];
+        if flight.written.is_empty() && flight.queued.front() == Some(req) {
+            self.write_ahead(player)?;
+        }
+        let flight = &mut self.flights[player];
+        if let Some((id, _)) = flight.written.front().filter(|(_, ahead)| ahead == req) {
+            let id = *id;
+            flight.written.pop_front();
+            return Ok(id);
+        }
+        *flight = Flight::default();
+        let id = self.fresh_id();
+        let msg = WireMessage::Request {
+            id,
+            req: req.clone(),
+        };
+        wire::write_frame(self.active(player)?.get_mut(), &msg)
+            .map_err(|_| RunError::Transport(TransportError { player }))?;
+        Ok(id)
+    }
+
     /// Asks every player for its one-shot simultaneous message, in
     /// player order — the networked gather feeding
     /// [`run_simultaneous_collected`](crate::simultaneous::run_simultaneous_collected).
@@ -343,12 +429,13 @@ impl TcpTransport {
             // interrupted by a disconnect replays the sim request on the
             // rejoined connection with a fresh id — invisible to cost
             // accounting, identical to an uninterrupted gather.
+            self.flights[player] = Flight::default();
             let message = loop {
                 self.ensure_active(player)?;
                 let id = self.fresh_id();
                 let attempt = {
                     let stream = self.active(player)?;
-                    wire::write_frame(stream, &WireMessage::SimRequest { id })
+                    wire::write_frame(stream.get_mut(), &WireMessage::SimRequest { id })
                         .map_err(|_| RunError::Transport(TransportError { player }))
                         .and_then(|()| await_sim_response(stream, player, id))
                 };
@@ -375,7 +462,7 @@ impl TcpTransport {
         };
         for conn in &mut self.conns {
             if let PlayerConn::Active(stream) = conn {
-                let _ = wire::write_frame(stream, &msg);
+                let _ = wire::write_frame(stream.get_mut(), &msg);
             }
         }
     }
@@ -385,7 +472,7 @@ impl TcpTransport {
 /// correlation id `id` arrives, discarding stale responses along the
 /// way.
 fn await_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     player: usize,
     id: u64,
 ) -> Result<Payload<'static>, RunError> {
@@ -417,7 +504,7 @@ fn await_response(
 /// [`await_response`] for the simultaneous gather: waits for the
 /// `SimResponse` with correlation id `id`.
 fn await_sim_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     player: usize,
     id: u64,
 ) -> Result<SimMessage<'static>, RunError> {
@@ -464,22 +551,26 @@ impl Transport for TcpTransport {
         // uninterrupted one (docs/NETWORKING.md).
         loop {
             self.ensure_active(player)?;
-            let id = self.fresh_id();
-            let msg = WireMessage::Request {
-                id,
-                req: req.clone(),
-            };
-            let attempt = {
-                let stream = self.active(player)?;
-                wire::write_frame(stream, &msg)
-                    .map_err(|_| RunError::Transport(TransportError { player }))
-                    .and_then(|()| await_response(stream, player, id))
-            };
+            let attempt = self
+                .send(player, req)
+                .and_then(|id| await_response(self.active(player)?, player, id));
             match attempt {
                 Ok(payload) => return Ok(payload),
                 Err(e) if self.detachable(&e) => self.detach(player, e),
                 Err(e) => return Err(e),
             }
+        }
+    }
+
+    fn pipeline(&mut self, player: usize, reqs: &[PlayerRequest]) {
+        self.flights[player] = Flight {
+            written: VecDeque::new(),
+            queued: reqs.iter().cloned().collect(),
+        };
+        if self.write_ahead(player).is_err() {
+            // A detached slot or a dead connection: the next delivery
+            // finds out and detaches or fails as it would unpipelined.
+            self.flights[player] = Flight::default();
         }
     }
 
@@ -491,6 +582,7 @@ impl Transport for TcpTransport {
             return;
         }
         let seed = shared.seed();
+        self.flights.iter_mut().for_each(|f| *f = Flight::default());
         // Record the seed *before* telling anyone: a player that
         // detaches mid-reseed learns the new seed from its rejoin
         // Welcome instead of the lost AdoptShared frame.
@@ -506,7 +598,7 @@ impl Transport for TcpTransport {
                 continue;
             }
             let attempt = self.active(player).and_then(|stream| {
-                wire::write_frame(stream, &WireMessage::AdoptShared { seed })
+                wire::write_frame(stream.get_mut(), &WireMessage::AdoptShared { seed })
                     .map_err(|_| RunError::Transport(TransportError { player }))
                     .and_then(|()| await_ack(stream, player))
             });
@@ -529,7 +621,7 @@ impl Transport for TcpTransport {
 
 /// Waits for the `Ack` answering an `AdoptShared`, discarding stale
 /// data responses along the way.
-fn await_ack(stream: &mut TcpStream, player: usize) -> Result<(), RunError> {
+fn await_ack(stream: &mut impl Read, player: usize) -> Result<(), RunError> {
     loop {
         match wire::read_frame(stream) {
             Ok(WireMessage::Ack) => return Ok(()),
@@ -607,13 +699,17 @@ impl<T: Transport> Transport for SharedTransport<T> {
     fn adopt_shared(&mut self, shared: SharedRandomness) {
         self.lock().adopt_shared(shared);
     }
+
+    fn pipeline(&mut self, player: usize, reqs: &[PlayerRequest]) {
+        self.lock().pipeline(player, reqs);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::tests::experiments;
     use crate::runtime::RunErrorKind;
-    use std::io::Write;
     use std::net::TcpListener;
 
     fn pair() -> (TcpListener, std::net::SocketAddr) {
@@ -658,6 +754,108 @@ mod tests {
         let resp = t.try_deliver(0, &PlayerRequest::LocalEdgeCount).unwrap();
         assert_eq!(resp, Payload::Bit(true));
         drop(server.join().unwrap());
+    }
+
+    /// What [`answer_all`] replies: the tag for a sampling experiment,
+    /// 999 for anything else.
+    fn answer(req: &PlayerRequest) -> Payload<'static> {
+        match req {
+            PlayerRequest::SampleHit { tag, .. } => Payload::Count(*tag),
+            _ => Payload::Count(999),
+        }
+    }
+
+    /// Answers every request on `reader` at once and in order, as an
+    /// unpipelined peer does, until the coordinator hangs up. Returns
+    /// how many requests it answered.
+    fn answer_all(reader: impl Read, s: &TcpStream) -> u64 {
+        let mut reader = BufReader::new(reader);
+        let mut answered = 0;
+        while let Ok(WireMessage::Request { id, req }) = wire::read_frame(&mut reader) {
+            let payload = answer(&req);
+            wire::write_frame(&mut &*s, &WireMessage::Response { id, payload }).unwrap();
+            answered += 1;
+        }
+        answered
+    }
+
+    #[test]
+    fn a_flight_past_the_byte_bound_goes_out_in_chunks_and_answers_in_order() {
+        let reqs = experiments(600);
+        let mut whole = Vec::new();
+        for req in &reqs {
+            let msg = WireMessage::Request {
+                id: 1,
+                req: req.clone(),
+            };
+            wire::write_frame(&mut whole, &msg).unwrap();
+        }
+        assert!(
+            whole.len() > 2 * FLIGHT_BYTES,
+            "premise: the flight needs chunks"
+        );
+        let (listener, addr) = pair();
+        let server = std::thread::spawn(move || {
+            let (s, _) = listener.accept().unwrap();
+            // Take everything written ahead before answering anything:
+            // read until the coordinator has gone quiet.
+            s.set_read_timeout(Some(Duration::from_millis(200)))
+                .unwrap();
+            let mut ahead = Vec::new();
+            let mut buf = [0u8; 4096];
+            loop {
+                match (&s).read(&mut buf) {
+                    Ok(0) => break,
+                    Ok(got) => ahead.extend_from_slice(&buf[..got]),
+                    Err(_) if !ahead.is_empty() => break,
+                    Err(_) => {}
+                }
+            }
+            s.set_read_timeout(None).unwrap();
+            let first_chunk = ahead.len();
+            let answered = answer_all(std::io::Cursor::new(ahead).chain(&s), &s);
+            (first_chunk, answered)
+        });
+        let conn = TcpStream::connect(addr).unwrap();
+        let mut t = TcpTransport::from_conns(vec![conn], Duration::from_secs(10));
+        t.pipeline(0, &reqs);
+        for req in &reqs {
+            assert_eq!(t.try_deliver(0, req), Ok(answer(req)));
+        }
+        drop(t);
+        let (first_chunk, answered) = server.join().unwrap();
+        assert!(
+            first_chunk <= FLIGHT_BYTES && first_chunk > FLIGHT_BYTES / 2,
+            "first chunk {first_chunk} bytes"
+        );
+        assert_eq!(answered, 600, "each request went out exactly once");
+    }
+
+    #[test]
+    fn a_request_off_the_flight_discards_the_answers_written_ahead() {
+        let (listener, addr) = pair();
+        let server = std::thread::spawn(move || {
+            let (s, _) = listener.accept().unwrap();
+            answer_all(&s, &s)
+        });
+        let conn = TcpStream::connect(addr).unwrap();
+        let mut t = TcpTransport::from_conns(vec![conn], Duration::from_secs(10));
+        let reqs = experiments(4);
+        t.pipeline(0, &reqs);
+        assert_eq!(t.try_deliver(0, &reqs[0]), Ok(answer(&reqs[0])));
+        // Off the flight: the answers to reqs[1..] arrive first and are
+        // stale under the fresh id.
+        let off = PlayerRequest::LocalEdgeCount;
+        assert_eq!(t.try_deliver(0, &off), Ok(Payload::Count(999)));
+        assert!(t.flights[0].written.is_empty() && t.flights[0].queued.is_empty());
+        // The flight is gone: reqs[1] goes out again, alone.
+        assert_eq!(t.try_deliver(0, &reqs[1]), Ok(answer(&reqs[1])));
+        drop(t);
+        assert_eq!(
+            server.join().unwrap(),
+            6,
+            "4 ahead, 1 off the flight, 1 resent"
+        );
     }
 
     #[test]

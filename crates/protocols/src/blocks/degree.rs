@@ -51,8 +51,37 @@ pub fn approx_degree<R: Recorder>(
     v: VertexId,
     tuning: &Tuning,
 ) -> DegreeEstimate {
+    msb_then_shrink(rt, tuning, PlayerRequest::DegreeMsb { v }, |tag, p| {
+        PlayerRequest::SampleHit { v, tag, p }
+    })
+}
+
+/// The distinct-elements generalization of Theorem 3.1 (the paper's
+/// closing remark in §3.1): α-approximates the number of **distinct
+/// edges** `m = |E|` under arbitrary duplication, by the same
+/// MSB-then-shrink scheme with experiments over a public random *pair*
+/// set ("does the sampled pair set intersect your input?").
+///
+/// Cost: `O(k·log log m + k·log k·experiments)` bits.
+pub fn approx_edge_count<R: Recorder>(rt: &mut Runtime<R>, tuning: &Tuning) -> DegreeEstimate {
+    msb_then_shrink(rt, tuning, PlayerRequest::EdgeCountMsb, |tag, p| {
+        PlayerRequest::GlobalSampleHit { tag, p }
+    })
+}
+
+/// The MSB-then-shrink scheme both estimators share: `msb` asks every
+/// player for the binary length of its local count, and
+/// `experiment(tag, p)` is one public sampling experiment at rate `p`.
+/// The `m` experiments of a guess are independent, so they go out as
+/// one [`Runtime::broadcast_all`] batch.
+fn msb_then_shrink<R: Recorder>(
+    rt: &mut Runtime<R>,
+    tuning: &Tuning,
+    msb: PlayerRequest,
+    experiment: impl Fn(u64, f64) -> PlayerRequest,
+) -> DegreeEstimate {
     // Phase 1: MSB round. d' = Σ_j 2^{len_j} satisfies d ≤ d' ≤ 2k·d.
-    let responses = rt.broadcast(PlayerRequest::DegreeMsb { v });
+    let responses = rt.broadcast(msb);
     let mut d_prime: f64 = 0.0;
     for p in responses {
         if let Payload::Count(len) = p {
@@ -62,7 +91,7 @@ pub fn approx_degree<R: Recorder>(
         }
     }
     if d_prime <= 2.0 {
-        // Degree at most 2: the upper bound itself is a fine answer.
+        // Count at most 2: the upper bound itself is a fine answer.
         return DegreeEstimate {
             value: d_prime,
             rounds: 0,
@@ -78,81 +107,13 @@ pub fn approx_degree<R: Recorder>(
     let mut rounds = 0;
     while guess > floor_guess {
         rounds += 1;
-        let successes = run_experiments(rt, v, guess, m);
-        let threshold = THETA * f_of(guess) * m as f64;
-        if successes as f64 >= threshold {
-            return DegreeEstimate {
-                value: guess,
-                rounds,
-            };
-        }
-        guess /= step;
-    }
-    DegreeEstimate {
-        value: guess.max(2.0),
-        rounds,
-    }
-}
-
-fn run_experiments<R: Recorder>(rt: &mut Runtime<R>, v: VertexId, guess: f64, m: usize) -> usize {
-    let p = (1.0 / guess).min(1.0);
-    let mut successes = 0;
-    for _ in 0..m {
-        let tag = rt.fresh_tag();
-        let hit = rt
-            .broadcast(PlayerRequest::SampleHit { v, tag, p })
-            .into_iter()
-            .any(|r| r == Payload::Bit(true));
-        if hit {
-            successes += 1;
-        }
-    }
-    successes
-}
-
-/// The distinct-elements generalization of Theorem 3.1 (the paper's
-/// closing remark in §3.1): α-approximates the number of **distinct
-/// edges** `m = |E|` under arbitrary duplication, by the same
-/// MSB-then-shrink scheme with experiments over a public random *pair*
-/// set ("does the sampled pair set intersect your input?").
-///
-/// Cost: `O(k·log log m + k·log k·experiments)` bits.
-pub fn approx_edge_count<R: Recorder>(rt: &mut Runtime<R>, tuning: &Tuning) -> DegreeEstimate {
-    let responses = rt.broadcast(PlayerRequest::EdgeCountMsb);
-    let mut m_prime: f64 = 0.0;
-    for p in responses {
-        if let Payload::Count(len) = p {
-            if len > 0 {
-                m_prime += 2f64.powi(len as i32);
-            }
-        }
-    }
-    if m_prime <= 2.0 {
-        return DegreeEstimate {
-            value: m_prime,
-            rounds: 0,
-        };
-    }
-    let alpha = 3.0f64;
-    let step = alpha.sqrt();
-    let m = tuning.degree_experiments(rt.k());
-    let floor_guess = (m_prime / (2.0 * rt.k() as f64 * step)).max(2.0);
-    let mut guess = m_prime;
-    let mut rounds = 0;
-    while guess > floor_guess {
-        rounds += 1;
         let p = (1.0 / guess).min(1.0);
-        let mut successes = 0usize;
-        for _ in 0..m {
-            let tag = rt.fresh_tag();
-            let hit = rt
-                .broadcast(PlayerRequest::GlobalSampleHit { tag, p })
-                .into_iter()
-                .any(|r| r == Payload::Bit(true));
-            if hit {
-                successes += 1;
-            }
-        }
+        let batch: Vec<PlayerRequest> = (0..m).map(|_| experiment(rt.fresh_tag(), p)).collect();
+        let successes = rt
+            .broadcast_all(&batch)
+            .iter()
+            .filter(|answers| answers.contains(&Payload::Bit(true)))
+            .count();
         let threshold = THETA * f_of(guess) * m as f64;
         if successes as f64 >= threshold {
             return DegreeEstimate {

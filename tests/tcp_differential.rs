@@ -19,14 +19,15 @@
 //!    repetition.
 
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use triad::comm::{
     run_simultaneous_collected, run_simultaneous_prepared, ConnectOptions, CostModel, FaultPlan,
-    FaultRates, FaultyTransport, PayloadRepr, PlayerSession, PlayerState, Recorder, ResumeClaim,
-    RunErrorKind, Runtime, ServeConfig, SessionOptions, SharedRandomness, SharedTransport,
-    SimMessage, SimultaneousProtocol, Tally, TcpCoordinator, TcpTransport, Transport, Welcome,
+    FaultRates, FaultyTransport, LocalTransport, Payload, PayloadRepr, PlayerRequest,
+    PlayerSession, PlayerState, Recorder, ResumeClaim, RunError, RunErrorKind, Runtime,
+    ServeConfig, SessionOptions, SharedRandomness, SharedTransport, SimMessage,
+    SimultaneousProtocol, Tally, TcpCoordinator, TcpTransport, Transport, Welcome,
 };
 use triad::graph::generators::gnp_with_average_degree;
 use triad::graph::partition::{random_disjoint, Partition};
@@ -617,5 +618,128 @@ fn faulty_tcp_transport_matches_faulty_local_rep_by_rep() {
         for p in players {
             p.join().unwrap();
         }
+    }
+}
+
+/// Forwards to in-process players and logs every request player 0 is
+/// sent, in order.
+struct LogPlayerZero {
+    inner: LocalTransport,
+    log: Arc<Mutex<Vec<PlayerRequest>>>,
+}
+
+impl Transport for LogPlayerZero {
+    fn k(&self) -> usize {
+        self.inner.k()
+    }
+
+    fn try_deliver(
+        &mut self,
+        player: usize,
+        req: &PlayerRequest,
+    ) -> Result<Payload<'static>, RunError> {
+        if player == 0 {
+            self.log.lock().unwrap().push(req.clone());
+        }
+        self.inner.try_deliver(player, req)
+    }
+}
+
+#[test]
+fn rejoin_mid_flight_is_bit_identical_to_uninterrupted() {
+    // Player 0 walks away between two experiments of one guess — a
+    // flight written ahead in one write, half answered — and rejoins.
+    // The rest of the flight replays on the new connection, so the run
+    // must match the uninterrupted in-process run exactly.
+    let (g, parts) = workload(240, 3, 5);
+    let n = g.vertex_count();
+    let input = PreparedInput::new(&g, &parts).unwrap();
+    let tester = UnrestrictedTester::new(Tuning::practical(0.2));
+    let seed = 11u64;
+    let reference = tester.run_repetition(&input, seed, None).unwrap().run;
+
+    // Find the first answered request whose successor is the next
+    // experiment of the same guess (same vertex, same rate).
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let shared = SharedRandomness::new(seed);
+    let logged = LogPlayerZero {
+        inner: LocalTransport::new(n, parts.shares(), shared),
+        log: Arc::clone(&log),
+    };
+    let mut rt: Runtime<Tally> =
+        Runtime::new_with(Box::new(logged), n, shared, CostModel::Coordinator);
+    tester.run_on(&mut rt);
+    let sent = log.lock().unwrap().clone();
+    let limit = sent
+        .windows(2)
+        .position(|w| match (&w[0], &w[1]) {
+            (
+                PlayerRequest::SampleHit { v, p, .. },
+                PlayerRequest::SampleHit { v: v2, p: p2, .. },
+            ) => v == v2 && p == p2,
+            _ => false,
+        })
+        .expect("the run has a flight of at least two experiments") as u64
+        + 1;
+
+    let shares = Arc::new(parts.shares().to_vec());
+    let cfg = config("unrestricted", 3, n, seed, 0.2, 6.0);
+    let coordinator = TcpCoordinator::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = coordinator.local_addr().expect("local addr");
+    let handles: Vec<_> = (0..3u32)
+        .map(|j| {
+            let shares = Arc::clone(&shares);
+            std::thread::spawn(move || {
+                let opts = ConnectOptions {
+                    slot: Some(j),
+                    retries: 40,
+                    backoff: Duration::from_millis(10),
+                    ..ConnectOptions::default()
+                };
+                let session = PlayerSession::connect_with(addr, &opts).unwrap();
+                let w = session.welcome().clone();
+                let state =
+                    PlayerState::new(w.player as usize, w.n as usize, &shares[w.player as usize]);
+                let mut sim = sim_closure(&w);
+                if j != 0 {
+                    let _ = session.serve(&state, sim);
+                    return;
+                }
+                let summary = session.serve_until(&state, &mut sim, Some(limit)).unwrap();
+                assert_eq!(summary.requests, limit);
+                let claim = ResumeClaim {
+                    slot: w.player,
+                    nonce: w.resume_nonce,
+                    last_acked: limit,
+                };
+                let rejoined = PlayerSession::rejoin_with(addr, &opts, claim).unwrap();
+                let _ = rejoined.serve(&state, sim);
+            })
+        })
+        .collect();
+    let options = SessionOptions {
+        auth_token: None,
+        reconnect_window: Duration::from_secs(20),
+    };
+    let transport = coordinator
+        .accept_players_with(&cfg, TIMEOUT, &options)
+        .expect("register all players");
+    let mut rt: Runtime<Tally> =
+        Runtime::new_with(Box::new(transport), n, shared, CostModel::Coordinator);
+    let outcome = tester.run_on(&mut rt);
+    assert_eq!(
+        rt.take_fault(),
+        None,
+        "a rejoin mid-flight must be invisible"
+    );
+    assert_eq!(outcome.triangle(), reference.outcome.triangle());
+    assert_eq!(rt.stats(), reference.stats, "stats must be bit-identical");
+    assert_tallies_equal(
+        "mid-flight rejoin",
+        &rt.into_recorder(),
+        &reference.transcript,
+    );
+    for h in handles {
+        h.join().unwrap();
     }
 }
