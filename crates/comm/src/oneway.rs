@@ -140,7 +140,7 @@ mod tests {
             prior: &[SimMessage],
             _shared: &SharedRandomness,
         ) -> SimMessage<'static> {
-            let mut edges: Vec<Edge> = player.edges().copied().collect();
+            let mut edges = player.share().to_vec();
             for m in prior {
                 edges.extend(m.edges());
             }
@@ -155,7 +155,7 @@ mod tests {
             prior: &[SimMessage],
             _shared: &SharedRandomness,
         ) -> usize {
-            let mut edges: Vec<Edge> = last.edges().copied().collect();
+            let mut edges = last.share().to_vec();
             for m in prior {
                 edges.extend(m.edges());
             }

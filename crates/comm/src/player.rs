@@ -3,7 +3,6 @@
 use crate::message::Payload;
 use crate::rand::SharedRandomness;
 use crate::request::PlayerRequest;
-use std::collections::HashSet;
 use std::sync::OnceLock;
 use triad_graph::kernels::EdgeBitset;
 use triad_graph::{Edge, Triangle, VertexId};
@@ -12,18 +11,21 @@ use triad_graph::{Edge, Triangle, VertexId};
 ///
 /// Players never see each other's state; all interaction flows through
 /// [`PlayerRequest`]s (unrestricted protocols) or one-shot messages
-/// (simultaneous protocols).
+/// (simultaneous protocols). Every handler reads sorted slices — the
+/// share, the adjacency rows, the degree-ordered occupied list — so no
+/// answer depends on a hash seed.
 #[derive(Debug, Clone)]
 pub struct PlayerState {
     id: usize,
     n: usize,
-    edges: HashSet<Edge>,
-    /// The deduplicated share in sorted order — a stable slice the
-    /// simultaneous baselines can borrow into a [`Payload::Edges`]
-    /// without cloning (see `docs/RUNTIME.md`).
+    /// The deduplicated share in sorted order — the player's one edge
+    /// set, and a stable slice the simultaneous baselines can borrow into
+    /// a [`Payload::Edges`] without cloning (see `docs/RUNTIME.md`).
     share: Vec<Edge>,
+    /// Local neighbors of each vertex, sorted by id.
     adj: Vec<Vec<VertexId>>,
-    /// Vertices with positive local degree, for suspect-set scans.
+    /// Vertices with positive local degree, in `(local degree, id)`
+    /// order: a suspect bucket's degree window is one contiguous slice.
     occupied: Vec<VertexId>,
     /// The share packed as an [`EdgeBitset`], built lazily on first use
     /// and reused for every repetition — the bitset counterpart of the
@@ -40,28 +42,27 @@ impl PlayerState {
     ///
     /// Panics if an edge endpoint is `>= n`.
     pub fn new(id: usize, n: usize, share: &[Edge]) -> Self {
-        let mut edges = HashSet::with_capacity(share.len());
+        let mut share = share.to_vec();
+        share.sort_unstable();
+        share.dedup();
         let mut adj = vec![Vec::new(); n];
-        for e in share {
+        // Walking the sorted share pushes each row in ascending order: a
+        // vertex's lower neighbors arrive (as `v`) before its higher ones
+        // (as `u`), each group by ascending id.
+        for e in &share {
             assert!(e.v().index() < n, "edge endpoint out of range");
-            if edges.insert(*e) {
-                adj[e.u().index()].push(e.v());
-                adj[e.v().index()].push(e.u());
-            }
+            adj[e.u().index()].push(e.v());
+            adj[e.v().index()].push(e.u());
         }
-        for list in &mut adj {
-            list.sort_unstable();
-        }
-        let occupied = (0..n)
+        let mut occupied: Vec<VertexId> = (0..n)
             .filter(|v| !adj[*v].is_empty())
             .map(VertexId::from_index)
             .collect();
-        let mut share: Vec<Edge> = edges.iter().copied().collect();
-        share.sort_unstable();
+        // Stable, so equal degrees stay in id order.
+        occupied.sort_by_key(|v| adj[v.index()].len());
         PlayerState {
             id,
             n,
-            edges,
             share,
             adj,
             occupied,
@@ -69,8 +70,8 @@ impl PlayerState {
         }
     }
 
-    /// The player's distinct edges, sorted — the borrowable counterpart of
-    /// [`edges`](Self::edges) for zero-copy message construction.
+    /// The player's distinct edges, sorted — borrowable for zero-copy
+    /// message construction.
     pub fn share(&self) -> &[Edge] {
         &self.share
     }
@@ -96,7 +97,7 @@ impl PlayerState {
 
     /// Number of distinct edges this player holds.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.share.len()
     }
 
     /// The player's local degree `d_j(v)`.
@@ -112,17 +113,25 @@ impl PlayerState {
     /// The average degree `d̄_j` of the player's own input — the quantity
     /// the degree-oblivious simultaneous protocol keys its guesses on.
     pub fn local_average_degree(&self) -> f64 {
-        2.0 * self.edges.len() as f64 / self.n.max(1) as f64
+        2.0 * self.share.len() as f64 / self.n.max(1) as f64
     }
 
-    /// Does the player hold `e`?
+    /// Does the player hold `e`? A binary search in the shorter of the
+    /// two endpoints' rows.
     pub fn has_edge(&self, e: Edge) -> bool {
-        self.edges.contains(&e)
+        let (u, v) = e.endpoints();
+        let (ru, rv) = (self.row(u), self.row(v));
+        if ru.len() <= rv.len() {
+            ru.binary_search(&v).is_ok()
+        } else {
+            rv.binary_search(&u).is_ok()
+        }
     }
 
-    /// Iterates the player's distinct edges (arbitrary order).
-    pub fn edges(&self) -> impl Iterator<Item = &Edge> {
-        self.edges.iter()
+    /// `v`'s sorted local neighbors, empty for a vertex outside `0..n`:
+    /// membership tests answer "no" for an edge the player cannot hold.
+    fn row(&self, v: VertexId) -> &[VertexId] {
+        self.adj.get(v.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Handles one coordinator request. Pure with respect to the player's
@@ -141,16 +150,16 @@ impl PlayerState {
             }
             PlayerRequest::FirstEdge { perm_tag } => {
                 let best = self
-                    .edges
+                    .share
                     .iter()
                     .copied()
                     .min_by_key(|e| shared.edge_rank(*perm_tag, *e));
                 Payload::Edge(best)
             }
             PlayerRequest::LocalDegree { v } => Payload::Count(self.local_degree(*v) as u64),
-            PlayerRequest::LocalEdgeCount => Payload::Count(self.edges.len() as u64),
+            PlayerRequest::LocalEdgeCount => Payload::Count(self.share.len() as u64),
             PlayerRequest::EdgeCountMsb => {
-                let c = self.edges.len() as u64;
+                let c = self.share.len() as u64;
                 Payload::Count(if c == 0 {
                     0
                 } else {
@@ -158,7 +167,7 @@ impl PlayerState {
                 })
             }
             PlayerRequest::GlobalSampleHit { tag, p } => {
-                Payload::Bit(self.edges.iter().any(|e| shared.edge_sampled(*tag, *e, *p)))
+                Payload::Bit(self.share.iter().any(|e| shared.edge_sampled(*tag, *e, *p)))
             }
             PlayerRequest::DegreeMsb { v } => {
                 let d = self.local_degree(*v) as u64;
@@ -194,6 +203,8 @@ impl PlayerState {
             } => {
                 let best = self
                     .suspects(*bucket, *k)
+                    .iter()
+                    .copied()
                     .min_by_key(|v| shared.vertex_rank(*perm_tag, *v));
                 Payload::Vertex(best)
             }
@@ -203,10 +214,20 @@ impl PlayerState {
                 perm_tag,
                 count,
             } => {
-                let mut ranked: Vec<VertexId> = self.suspects(*bucket, *k).collect();
-                ranked.sort_unstable_by_key(|v| shared.vertex_rank(*perm_tag, *v));
-                ranked.truncate(*count);
-                Payload::Vertices(ranked)
+                // Rank each suspect once, keep the `count` lowest, and sort
+                // only those. A rank ends in the vertex id, so it is a total
+                // order and the id can be read back from it.
+                let mut ranked: Vec<(u64, u32)> = self
+                    .suspects(*bucket, *k)
+                    .iter()
+                    .map(|v| shared.vertex_rank(*perm_tag, *v))
+                    .collect();
+                if *count < ranked.len() {
+                    ranked.select_nth_unstable(*count);
+                    ranked.truncate(*count);
+                }
+                ranked.sort_unstable();
+                Payload::Vertices(ranked.into_iter().map(|(_, id)| VertexId(id)).collect())
             }
             PlayerRequest::IncidentEdgesSampled { v, tag, p, cap } => {
                 let mut out = Vec::new();
@@ -225,7 +246,7 @@ impl PlayerState {
             }
             PlayerRequest::InducedEdges { tag, p, cap } => {
                 let mut out = Vec::new();
-                for e in &self.edges {
+                for e in &self.share {
                     if shared.vertex_sampled(*tag, e.u(), *p)
                         && shared.vertex_sampled(*tag, e.v(), *p)
                     {
@@ -247,7 +268,7 @@ impl PlayerState {
                 let in_r = |v: VertexId| shared.vertex_sampled(*r_tag, v, *p_r);
                 let in_rs = |v: VertexId| in_r(v) || shared.vertex_sampled(*s_tag, v, *p_s);
                 let mut out = Vec::new();
-                for e in &self.edges {
+                for e in &self.share {
                     let (u, v) = e.endpoints();
                     if (in_r(u) && in_rs(v)) || (in_r(v) && in_rs(u)) {
                         out.push(*e);
@@ -262,37 +283,53 @@ impl PlayerState {
     }
 
     /// The player's suspect set `B̃_i^j = {v : 3^i/k ≤ d_j(v) ≤ 3^{i+1}}`
-    /// for bucket `i` (only vertices of positive local degree are
-    /// scanned).
-    fn suspects(&self, bucket: usize, k: usize) -> impl Iterator<Item = VertexId> + '_ {
-        let lo = 3f64.powi(bucket as i32) / k as f64;
-        let hi = 3f64.powi(bucket as i32 + 1);
-        self.occupied.iter().copied().filter(move |v| {
-            let d = self.local_degree(*v) as f64;
-            d >= lo && d <= hi
-        })
+    /// for bucket `i`, as a slice of the degree-ordered occupied list
+    /// (so only vertices of positive local degree qualify).
+    ///
+    /// Requests arrive off the wire, so hostile windows are empty rather
+    /// than panics: `k = 0` puts the lower cutoff at infinity, and a
+    /// bucket past `i32::MAX` saturates to an infinite cutoff instead of
+    /// wrapping.
+    fn suspects(&self, bucket: usize, k: usize) -> &[VertexId] {
+        let i = i32::try_from(bucket).unwrap_or(i32::MAX);
+        let lo = 3f64.powi(i) / k as f64;
+        let hi = 3f64.powi(i.saturating_add(1));
+        let degree = |v: &VertexId| self.local_degree(*v) as f64;
+        let start = self.occupied.partition_point(|v| degree(v) < lo);
+        let end = self.occupied.partition_point(|v| degree(v) <= hi);
+        self.occupied.get(start..end).unwrap_or(&[])
     }
 
     /// Scans candidate edges for a vee whose closing edge is in this
     /// player's input; returns the completed triangle if found.
     ///
+    /// Vees are tried source by source in ascending id, and inside a
+    /// source in candidate order, so the witness is a function of the
+    /// candidate list alone.
+    ///
     /// Local computation is free in the model; this is the step that makes
     /// vee-finding sufficient for triangle-finding in the communication
     /// setting (§3.3's key observation).
     pub fn close_any_vee(&self, candidates: &[Edge]) -> Option<Triangle> {
-        // Group candidate edges by endpoint, then try to close each pair.
-        let mut by_vertex: std::collections::HashMap<VertexId, Vec<VertexId>> =
-            std::collections::HashMap::new();
+        // Group candidate edges by endpoint (a stable sort keeps candidate
+        // order inside each group), then try to close each pair.
+        let mut ends: Vec<(VertexId, VertexId)> = Vec::with_capacity(2 * candidates.len());
         for e in candidates {
-            by_vertex.entry(e.u()).or_default().push(e.v());
-            by_vertex.entry(e.v()).or_default().push(e.u());
+            ends.push((e.u(), e.v()));
+            ends.push((e.v(), e.u()));
         }
-        for (s, others) in &by_vertex {
-            for (i, a) in others.iter().enumerate() {
-                for b in &others[i + 1..] {
-                    if a != b && *a != *s && *b != *s && self.has_edge(Edge::new(*a, *b)) {
-                        return Some(Triangle::new(*s, *a, *b));
-                    }
+        ends.sort_by_key(|&(s, _)| s);
+        // Edges have no loops, so `a` and `b` differ from `s`, and `a` is
+        // not in its own row, so a hit also means `a ≠ b`.
+        for group in ends.chunk_by(|x, y| x.0 == y.0) {
+            let s = group[0].0;
+            for (i, &(_, a)) in group.iter().enumerate() {
+                let row = self.row(a);
+                if let Some(&(_, b)) = group[i + 1..]
+                    .iter()
+                    .find(|(_, b)| row.binary_search(b).is_ok())
+                {
+                    return Some(Triangle::new(s, a, b));
                 }
             }
         }
@@ -524,6 +561,90 @@ mod tests {
         );
         assert_eq!(p.close_any_vee(&[e(0, 1), e(0, 3)]), None);
         assert_eq!(p.close_any_vee(&[]), None);
+    }
+
+    #[test]
+    fn close_any_vee_witness_is_pinned() {
+        // Two closable vees: at source 3 (closed by (4,5)) and at source 0
+        // (closed by (1,2)). The vee at 3 comes first in candidate order,
+        // but sources are tried in ascending id.
+        let p = PlayerState::new(0, 8, &[e(1, 2), e(4, 5)]);
+        let cands = [e(3, 4), e(3, 5), e(0, 1), e(0, 2)];
+        let t012 = Some(Triangle::new(VertexId(0), VertexId(1), VertexId(2)));
+        assert_eq!(p.close_any_vee(&cands), t012);
+        // Inside one source, pairs go in candidate order: at hub 0 the
+        // (3,4) vee precedes the (1,2) vee.
+        let p = PlayerState::new(0, 8, &[e(1, 2), e(3, 4)]);
+        let hub = [e(0, 3), e(0, 4), e(0, 1), e(0, 2)];
+        assert_eq!(
+            p.close_any_vee(&hub),
+            Some(Triangle::new(VertexId(0), VertexId(3), VertexId(4)))
+        );
+    }
+
+    #[test]
+    fn capped_answers_do_not_depend_on_the_instance() {
+        let path: Vec<Edge> = (0..59).map(|i| e(i, i + 1)).collect();
+        let a = PlayerState::new(0, 60, &path);
+        let b = PlayerState::new(0, 60, &path);
+        let s = SharedRandomness::new(0);
+        let induced = PlayerRequest::InducedEdges {
+            tag: 0,
+            p: 1.0,
+            cap: 5,
+        };
+        let rs = PlayerRequest::RsEdges {
+            r_tag: 1,
+            p_r: 1.0,
+            s_tag: 2,
+            p_s: 0.0,
+            cap: 5,
+        };
+        for req in [induced, rs] {
+            let answer = a.handle(&req, &s);
+            assert_eq!(answer, b.handle(&req, &s), "{req:?}");
+            // The first `cap` qualifying edges of the sorted share.
+            assert_eq!(answer.as_edges(), &path[..5], "{req:?}");
+        }
+    }
+
+    #[test]
+    fn hostile_suspect_windows_are_empty() {
+        let p = PlayerState::new(0, 30, &[e(0, 1), e(0, 2), e(3, 4)]);
+        let s = SharedRandomness::new(5);
+        for (bucket, k) in [
+            (0, 0),
+            (3, 0),
+            (i32::MAX as usize - 1, 4),
+            (i32::MAX as usize, 4),
+            (1 << 40, 4),
+            (usize::MAX, 4),
+            (usize::MAX, usize::MAX),
+        ] {
+            let first = PlayerRequest::FirstSuspectInBucket {
+                bucket,
+                k,
+                perm_tag: 0,
+            };
+            assert_eq!(p.handle(&first, &s), Payload::Vertex(None), "{bucket} {k}");
+            let sample = PlayerRequest::SuspectSample {
+                bucket,
+                k,
+                perm_tag: 0,
+                count: usize::MAX,
+            };
+            assert_eq!(p.handle(&sample, &s), Payload::Vertices(Vec::new()));
+        }
+    }
+
+    #[test]
+    fn membership_outside_the_graph_is_false() {
+        // Candidates and probes arrive off the wire and may name any id:
+        // an edge off the graph is not held, never an out-of-bounds index.
+        let p = player();
+        let far = 1 << 20;
+        assert!(!p.has_edge(e(0, far)));
+        assert_eq!(p.close_any_vee(&[e(0, far), e(0, far + 1)]), None);
     }
 
     #[test]

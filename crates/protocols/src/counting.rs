@@ -59,7 +59,7 @@ impl SimultaneousProtocol for TriangleCounter {
 
     fn message<'a>(&self, player: &'a PlayerState, shared: &SharedRandomness) -> SimMessage<'a> {
         let mut out = Vec::new();
-        for e in player.edges() {
+        for e in player.share() {
             if shared.vertex_sampled(COUNT_TAG, e.u(), self.p)
                 && shared.vertex_sampled(COUNT_TAG, e.v(), self.p)
             {

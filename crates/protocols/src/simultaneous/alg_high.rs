@@ -47,7 +47,7 @@ impl SimultaneousProtocol for AlgHigh {
         let p = self.sample_probability(n);
         let cap = self.cap(n);
         let mut out = Vec::new();
-        for e in player.edges() {
+        for e in player.share() {
             if shared.vertex_sampled(S_TAG, e.u(), p) && shared.vertex_sampled(S_TAG, e.v(), p) {
                 out.push(*e);
                 if out.len() >= cap {

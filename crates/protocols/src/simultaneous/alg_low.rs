@@ -56,7 +56,7 @@ impl SimultaneousProtocol for AlgLow {
         let (p1, p2) = self.probabilities(n);
         let cap = self.cap(n);
         let mut out = Vec::new();
-        for e in player.edges() {
+        for e in player.share() {
             let (u, v) = e.endpoints();
             let ru = self.in_r(shared, u, p2);
             let rv = self.in_r(shared, v, p2);

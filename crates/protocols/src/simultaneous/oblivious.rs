@@ -79,7 +79,7 @@ impl SimultaneousProtocol for Oblivious {
                 let cap = self.tuning.oblivious_high_cap(n, d_bar, self.k);
                 let tag = HIGH_TAG_BASE + u64::from(i);
                 let mut out = Vec::new();
-                for e in player.edges() {
+                for e in player.share() {
                     if shared.vertex_sampled(tag, e.u(), p) && shared.vertex_sampled(tag, e.v(), p)
                     {
                         out.push(*e);
@@ -100,7 +100,7 @@ impl SimultaneousProtocol for Oblivious {
                 let cap = self.tuning.oblivious_low_cap(n, self.k);
                 let s_tag = LOW_S_TAG_BASE + u64::from(i);
                 let mut out = Vec::new();
-                for e in player.edges() {
+                for e in player.share() {
                     let (u, v) = e.endpoints();
                     let ru = shared.vertex_sampled(LOW_R_TAG, u, p2);
                     let rv = shared.vertex_sampled(LOW_R_TAG, v, p2);

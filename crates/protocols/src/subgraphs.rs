@@ -77,7 +77,7 @@ impl SimultaneousProtocol for SimHFreeness {
         let p = self.sample_probability(n).min(1.0);
         let cap = self.cap(n);
         let mut out = Vec::new();
-        for e in player.edges() {
+        for e in player.share() {
             if shared.vertex_sampled(H_TAG, e.u(), p) && shared.vertex_sampled(H_TAG, e.v(), p) {
                 out.push(*e);
                 if out.len() >= cap {

@@ -162,7 +162,7 @@ proptest! {
                 prior: &[SimMessage],
                 _shared: &SharedRandomness,
             ) -> SimMessage<'static> {
-                let mut edges: Vec<Edge> = player.edges().copied().collect();
+                let mut edges = player.share().to_vec();
                 for m in prior {
                     edges.extend(m.edges());
                 }
@@ -176,7 +176,7 @@ proptest! {
                 prior: &[SimMessage],
                 _shared: &SharedRandomness,
             ) -> usize {
-                let mut edges: Vec<Edge> = last.edges().copied().collect();
+                let mut edges = last.share().to_vec();
                 for m in prior {
                     edges.extend(m.edges());
                 }
